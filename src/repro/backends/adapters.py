@@ -5,19 +5,20 @@ vocabulary into the wrapped simulator's own calling convention and packs the
 outcome into a :class:`~repro.backends.base.BackendResult`.  Registration
 happens at import time via :func:`~repro.backends.registry.register_backend`.
 
-Adapters with expensive per-circuit one-time work implement the
-compile/execute split (:meth:`~repro.backends.base.SimulationBackend.compile`
-→ ``run(plan=...)``): the TN adapter records its contraction schedule once,
-the trajectory adapters prepare the engine's per-circuit context (template
-network, Kraus sampling distributions), the approximation adapter records the
-split-network schedules all substituted terms replay, and the statevector
-adapter resolves its dense boundary states.  Plan execution is bit-identical
-to the plan-less path — a plan moves the one-time work, never the values.
+Every adapter has one execution path, ``_run(circuit, task, plan)``:
+:meth:`~repro.backends.base.SimulationBackend.run` compiles the plan itself
+when the caller did not pass one from
+:meth:`~repro.backends.base.SimulationBackend.compile`.  Adapters with
+expensive per-circuit one-time work put it in ``_compile``: the TN adapter
+records its contraction schedule once, the trajectory adapters prepare the
+engine's per-circuit context (template network, Kraus sampling
+distributions), the approximation adapter records the split-network schedules
+all substituted terms replay, and the statevector adapter resolves its dense
+boundary states.  The remaining adapters have nothing to precompute and
+ignore ``plan``, which is ``None``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.backends.base import (
     BackendResult,
@@ -80,21 +81,14 @@ class StatevectorBackend(SimulationBackend):
         n = circuit.num_qubits
         return (dense_product_state(input_state, n), dense_product_state(output_state, n))
 
-    def _amplitude(self, circuit: Circuit, task: SimulationTask, psi: np.ndarray, v: np.ndarray):
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
+        psi, v = plan
         simulator = StatevectorSimulator(
             max_qubits=task.options.get("max_qubits", self.max_qubits()),
             device=task.device,
         )
         amplitude = simulator.amplitude(circuit, v, psi)
         return BackendResult(backend=self.name, value=float(abs(amplitude) ** 2))
-
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        psi, v = self._compile(circuit, task)
-        return self._amplitude(circuit, task, psi, v)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        psi, v = plan
-        return self._amplitude(circuit, task, psi, v)
 
 
 @register_backend(
@@ -114,7 +108,7 @@ class DensityMatrixBackend(SimulationBackend):
         # Exact superoperator evolution: composing adjacent channels is exact.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         simulator = DensityMatrixSimulator(
@@ -157,13 +151,8 @@ class TNBackend(SimulationBackend):
         input_state, output_state = _default_states(circuit, task)
         return self._simulator(task).prepare(circuit, input_state, output_state)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        input_state, output_state = _default_states(circuit, task)
-        value = self._simulator(task).fidelity(circuit, input_state, output_state)
-        return BackendResult(backend=self.name, value=float(value), num_contractions=1)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        if getattr(plan, "parametric", False):
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
+        if plan.parametric:
             # Bind-slot template: replay the recorded schedule on tensors
             # rebuilt from the bound circuit actually being executed.
             return BackendResult(
@@ -189,7 +178,7 @@ class TDDBackend(SimulationBackend):
         # Decision diagrams evolve the full superoperator exactly as well.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         simulator = TDDSimulator(
@@ -221,7 +210,7 @@ class MPSBackend(SimulationBackend):
             return "mps supports 1- and 2-qubit gates only"
         return None
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         if not (isinstance(input_state, str) and set(input_state) <= {"0"}):
@@ -273,7 +262,7 @@ class MPDOBackend(SimulationBackend):
         # yields another single-qubit channel, so the arity constraint holds.
         return PassProfile(merge_channels=True)
 
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         n = circuit.num_qubits
         if not (isinstance(input_state, str) and set(input_state) <= {"0"}):
@@ -334,9 +323,9 @@ class _TrajectoryBackendBase(SimulationBackend):
         input_state, output_state = _default_states(circuit, task)
         return self.engine.prepare(circuit, input_state, output_state)
 
-    def _run(self, circuit: Circuit, task: SimulationTask, plan=None) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
-        if plan is not None and getattr(plan, "parametric", False):
+        if plan is not None and plan.parametric:
             # The compiled context is a bind-slot template (prepared from a
             # placeholder binding): swap in the bound circuit's gate values
             # while reusing the recorded contraction plan and the Kraus
@@ -352,9 +341,10 @@ class _TrajectoryBackendBase(SimulationBackend):
             workers=task.workers,
             # A caller-owned process pool (e.g. a session's shared pool); the
             # engine reuses it without shutting it down.
-            executor=task.resolved_executor(),
+            executor=task.executor,
             # The prepared per-circuit context (template network, recorded
-            # contraction plan, Kraus sampling distributions) when compiled.
+            # contraction plan, Kraus sampling distributions); None in the
+            # pooled regime, where every worker prepares its own.
             context=plan,
         )
         return BackendResult(
@@ -364,9 +354,6 @@ class _TrajectoryBackendBase(SimulationBackend):
             num_samples=result.num_samples,
             metadata={"workers": task.workers},
         )
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        return self._run(circuit, task, plan=plan)
 
     def samples_for_precision(
         self,
@@ -450,16 +437,15 @@ class ApproximationBackend(SimulationBackend):
         if is_parametric(circuit):
             # The approximation plan bakes gate tensors into its specialized
             # per-term schedules, which would freeze one binding's values;
-            # parametric circuits use the plan-less path, which reads the
-            # bound circuit on every run.
+            # without a plan, fidelity() prepares the bound circuit being run.
             return None
         input_state, output_state = _default_states(circuit, task)
         return simulator.prepare(circuit, input_state, output_state)
 
-    def _execute(self, circuit: Circuit, task: SimulationTask, prepared) -> BackendResult:
+    def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
         simulator = self._simulator(task)
-        result = simulator.fidelity(circuit, input_state, output_state, prepared=prepared)
+        result = simulator.fidelity(circuit, input_state, output_state, prepared=plan)
         return BackendResult(
             backend=self.name,
             value=result.value,
@@ -471,9 +457,3 @@ class ApproximationBackend(SimulationBackend):
                 "num_noises": result.num_noises,
             },
         )
-
-    def _run(self, circuit: Circuit, task: SimulationTask) -> BackendResult:
-        return self._execute(circuit, task, None)
-
-    def _run_plan(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        return self._execute(circuit, task, plan)

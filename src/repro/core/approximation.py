@@ -28,10 +28,11 @@ for the exact superoperator backends.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -188,11 +189,11 @@ class ApproximateNoisySimulator:
 
         SVD-decomposes every noise channel and records the contraction
         schedules of the dominant-term split networks; since every substituted
-        term shares those topologies, :meth:`fidelity` with ``prepared=...``
-        replays the schedules with swapped noise tensors instead of building
-        and greedy-ordering two fresh networks per term.  Values are
-        bit-identical to the unprepared path (the greedy heuristic decides
-        from tensor *shapes* only, which are the same for every term).
+        term shares those topologies, :meth:`fidelity` replays the schedules
+        with swapped noise tensors instead of building and greedy-ordering two
+        fresh networks per term.  Values are bit-identical to contracting each
+        term's own networks (the greedy heuristic decides from tensor *shapes*
+        only, which are the same for every term).
         """
         if self.backend != "tn":
             raise ValidationError(
@@ -240,6 +241,38 @@ class ApproximateNoisySimulator:
             lower_specialized=lower_plan.specialize(list(lower_tensors), noise_positions),
         )
 
+    def _term_evaluator(
+        self,
+        circuit: Circuit,
+        input_state: StateLike,
+        output_state: StateLike,
+        prepared: PreparedApproximation | None = None,
+    ) -> Tuple[List[NoiseTermDecomposition], Callable[[Dict], complex]]:
+        """The noise decompositions and the per-term evaluator of one run.
+
+        With the ``"tn"`` term backend every term replays the plans of
+        ``prepared``, which are recorded here when not given; the
+        ``"statevector"`` backend applies each term's matrices densely.
+        """
+        if prepared is None and self.backend == "tn":
+            prepared = self.prepare(circuit, input_state, output_state)
+        if prepared is None:
+            def evaluate(substitution):
+                return self._evaluate_term_statevector(
+                    circuit, substitution, input_state, output_state
+                )
+
+            return self.decompose_noises(circuit), evaluate
+        if len(prepared.decompositions) != circuit.noise_count():
+            raise ValidationError(
+                "prepared plan covers "
+                f"{len(prepared.decompositions)} noises but the circuit "
+                f"has {circuit.noise_count()}"
+            )
+        return list(prepared.decompositions), functools.partial(
+            self._evaluate_term_prepared, prepared
+        )
+
     def _evaluate_term_prepared(
         self,
         prepared: PreparedApproximation,
@@ -256,29 +289,6 @@ class ApproximateNoisySimulator:
                 prepared.lower_tensors[position].shape
             )
         return prepared.upper_specialized.execute(upper) * prepared.lower_specialized.execute(lower)
-
-    # ------------------------------------------------------------------
-    # Evaluation of a single substituted term
-    # ------------------------------------------------------------------
-    def _evaluate_term(
-        self,
-        circuit: Circuit,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        input_state: StateLike,
-        output_state: StateLike,
-    ) -> complex:
-        if self.backend == "tn":
-            upper, lower = substituted_split_networks(
-                circuit,
-                substitution,
-                input_state,
-                output_state,
-                max_intermediate_size=self.max_intermediate_size,
-            )
-            upper_value = upper.contract_to_scalar(strategy=self.strategy)
-            lower_value = lower.contract_to_scalar(strategy=self.strategy)
-            return upper_value * lower_value
-        return self._evaluate_term_statevector(circuit, substitution, input_state, output_state)
 
     def _evaluate_term_statevector(
         self,
@@ -326,10 +336,10 @@ class ApproximateNoisySimulator:
         """Return the level-``l`` approximation ``A(l)`` of ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩``.
 
         ``input_state`` and ``output_state`` default to ``|0…0⟩`` as in the
-        paper's Table II experiments.  ``prepared`` optionally supplies the
-        one-time work recorded by :meth:`prepare` (for the same circuit and
-        boundary states); terms are then evaluated by plan replay instead of
-        per-term network construction, with bit-identical values.
+        paper's Table II experiments.  With the ``"tn"`` term backend every
+        term is a replay of the plans recorded by :meth:`prepare`;
+        ``prepared`` supplies them when already recorded (for the same
+        circuit and boundary states), otherwise this call records them.
         """
         start = time.perf_counter()
         level = self.level if level is None else int(level)
@@ -339,16 +349,9 @@ class ApproximateNoisySimulator:
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
 
-        if prepared is not None:
-            if len(prepared.decompositions) != circuit.noise_count():
-                raise ValidationError(
-                    "prepared plan covers "
-                    f"{len(prepared.decompositions)} noises but the circuit "
-                    f"has {circuit.noise_count()}"
-                )
-            decompositions = list(prepared.decompositions)
-        else:
-            decompositions = self.decompose_noises(circuit)
+        decompositions, evaluate = self._term_evaluator(
+            circuit, input_state, output_state, prepared
+        )
         num_noises = len(decompositions)
         level = min(level, num_noises)
 
@@ -372,12 +375,7 @@ class ApproximateNoisySimulator:
                         substitution[noise_index] = decompositions[noise_index].terms[0]
                     for position, term_index in zip(positions, assignment):
                         substitution[position] = decompositions[position].terms[term_index]
-                    if prepared is not None:
-                        contribution += self._evaluate_term_prepared(prepared, substitution)
-                    else:
-                        contribution += self._evaluate_term(
-                            circuit, substitution, input_state, output_state
-                        )
+                    contribution += evaluate(substitution)
                     num_terms += 1
             level_contributions.append(float(np.real(contribution)))
             total += contribution

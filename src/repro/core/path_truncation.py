@@ -12,11 +12,12 @@ paths are added.
 
 The variant reuses the split-network evaluation of
 :class:`~repro.core.approximation.ApproximateNoisySimulator`; each path is
-again a product of two independent single-size contractions.  The level-``l``
-approximation corresponds to the set of paths with at most ``l`` non-dominant
-indices, so the two truncation schemes coincide when the singular-value gaps
-are uniform, and differ when some noises are much stronger than others —
-which is what the ablation benchmark explores.
+again a product of two independent single-size contractions, replayed (with
+the ``"tn"`` term backend) from the plans recorded once per call.  The
+level-``l`` approximation corresponds to the set of paths with at most ``l``
+non-dominant indices, so the two truncation schemes coincide when the
+singular-value gaps are uniform, and differ when some noises are much stronger
+than others — which is what the ablation benchmark explores.
 """
 
 from __future__ import annotations
@@ -136,7 +137,9 @@ class PathTruncatedSimulator:
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
 
-        decompositions = self._delegate.decompose_noises(circuit)
+        decompositions, evaluate = self._delegate._term_evaluator(
+            circuit, input_state, output_state
+        )
         total_weight_available = float(
             np.prod([sum(d.singular_values) for d in decompositions])
         ) if decompositions else 1.0
@@ -149,9 +152,7 @@ class PathTruncatedSimulator:
                 noise_index: decompositions[noise_index].terms[term_index]
                 for noise_index, term_index in enumerate(path)
             }
-            total += self._delegate._evaluate_term(
-                circuit, substitution, input_state, output_state
-            )
+            total += evaluate(substitution)
             evaluated_weight += weight
             num_paths += 1
 

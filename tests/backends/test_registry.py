@@ -57,7 +57,7 @@ class TestRegistry:
 
             @register_backend("tn", noisy=True, exact=True)
             class Duplicate(SimulationBackend):  # pragma: no cover - never used
-                def _run(self, circuit, task):
+                def _run(self, circuit, task, plan):
                     raise NotImplementedError
 
         assert _REGISTRY["tn"].name == "tn"

@@ -102,6 +102,14 @@ class TestPathTruncatedSimulator:
         assert large.weight_coverage >= small.weight_coverage
         assert 0.0 < small.weight_coverage <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("seed,noises,budget", [(10, 3, 1), (11, 3, 12), (12, 4, 40)])
+    def test_tn_replay_agrees_with_statevector(self, seed, noises, budget):
+        noisy = _noisy(seed=seed, noises=noises, p=0.05)
+        tn = PathTruncatedSimulator(max_paths=budget, backend="tn").fidelity(noisy)
+        dense = PathTruncatedSimulator(max_paths=budget, backend="statevector").fidelity(noisy)
+        assert tn.num_paths == dense.num_paths == budget
+        assert tn.value == pytest.approx(dense.value, abs=1e-12)
+
     def test_invalid_budget(self):
         with pytest.raises(ValidationError):
             PathTruncatedSimulator(max_paths=0)

@@ -11,6 +11,8 @@ The set of methods under test is resolved through the backend registry
 backends are automatically covered.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.circuits.library import benchmark_circuit, random_circuit
 from repro.core import ApproximateNoisySimulator
 from repro.noise import NoiseModel, SYCAMORE_LIKE_SPEC, depolarizing_channel
 from repro.simulators import DensityMatrixSimulator, TrajectorySimulator
+from repro.tensornetwork.circuit_to_tn import substituted_split_networks
 from repro.utils import zero_state
 
 
@@ -75,6 +78,44 @@ class TestAccurateMethodsAgree:
         f_dm = get_backend("density_matrix").run(noisy).value
         result = get_backend("approximation").run(noisy, SimulationTask(level=1))
         assert abs(result.value - f_dm) <= result.metadata["error_bound"] + 1e-9
+
+
+def _per_term_level_totals(noisy, max_level):
+    """Slow oracle of Algorithm 1: two fresh, greedily contracted networks per term.
+
+    Returns the running total after each level, summed in the same order as
+    :meth:`ApproximateNoisySimulator.fidelity` (per-level contributions, then
+    the total), so an unchanged arithmetic gives bit-identical values.
+    """
+    decompositions = ApproximateNoisySimulator().decompose_noises(noisy)
+    zeros = "0" * noisy.num_qubits
+    total = 0.0 + 0.0j
+    totals = []
+    for k in range(max_level + 1):
+        contribution = 0.0 + 0.0j
+        for positions in itertools.combinations(range(len(decompositions)), k):
+            choices = [range(1, decompositions[p].num_terms) for p in positions]
+            for assignment in itertools.product(*choices):
+                substitution = {i: d.terms[0] for i, d in enumerate(decompositions)}
+                for position, term_index in zip(positions, assignment):
+                    substitution[position] = decompositions[position].terms[term_index]
+                upper, lower = substituted_split_networks(noisy, substitution, zeros, zeros)
+                contribution += upper.contract_to_scalar() * lower.contract_to_scalar()
+        total += contribution
+        totals.append(float(np.real(total)))
+    return totals
+
+
+class TestPlanReplayOracle:
+    @pytest.mark.parametrize("name,noises,seed", CASES)
+    def test_prepared_replay_is_bit_identical_to_per_term_networks(self, name, noises, seed):
+        noisy = _make_noisy(name, noises, seed)
+        totals = _per_term_level_totals(noisy, max_level=2)
+        for level in (1, 2):
+            direct = ApproximateNoisySimulator(level=level).fidelity(noisy).value
+            backend = get_backend("approximation").run(noisy, SimulationTask(level=level))
+            assert direct == totals[level]
+            assert backend.value == totals[level]
 
 
 class TestApproximateMethodsAgree:
