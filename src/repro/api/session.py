@@ -67,7 +67,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import circuit_parameters, substitute
 from repro.circuits.passes import PassConfig, run_passes
 from repro.utils.validation import ValidationError
-from repro.xp import default_device, get_namespace
+from repro.xp import get_namespace
 
 __all__ = ["Session", "ideal_output_state", "simulate"]
 
@@ -161,9 +161,10 @@ class Session:
         Default execution device for device-capable backends (see
         :mod:`repro.xp` and ``docs/xp.md``).  ``None`` reads the
         ``REPRO_DEVICE`` environment variable and falls back to ``"cpu"``.
-        Validated eagerly: an unavailable device (``"cuda"`` without
-        CuPy/torch) raises :class:`~repro.xp.DeviceUnavailableError` here
-        rather than falling back silently.  The session default is *soft* —
+        Validated eagerly: a device outside
+        :data:`~repro.xp.KNOWN_DEVICES` raises
+        :class:`~repro.utils.validation.ValidationError` here rather than
+        falling back silently.  The session default is *soft* —
         it is applied only to backends whose capabilities advertise
         ``supports_device``, so cpu-only backends keep working; a per-call
         ``device=`` (or ``SimulationTask.device``) is *hard* and makes
@@ -185,12 +186,11 @@ class Session:
             raise ValidationError("max_parallel must be >= 1")
         if plan_cache_size < 0:
             raise ValidationError("plan_cache_size must be >= 0")
-        # Resolve the session-default device eagerly (DeviceUnavailableError
-        # now, not at dispatch time); "auto"/env values resolve to a concrete
-        # namespace, and a cpu resolution normalises back to None so cpu
-        # sessions hash and plan-cache exactly as before devices existed.
-        namespace = get_namespace(device if device is not None else default_device())
-        self.device = None if namespace.device == "cpu" else namespace.device
+        # Validate the session-default device eagerly (ValidationError now,
+        # not at dispatch time); a cpu resolution normalises back to None so
+        # cpu sessions hash and plan-cache exactly as before devices existed.
+        device = get_namespace(device).device
+        self.device = None if device == "cpu" else device
         self.workers = workers
         self.seed = seed
         self.passes = PassConfig.resolve(passes)
@@ -406,16 +406,15 @@ class Session:
             task = dataclasses.replace(task, output_state=self._ideal_output(circuit))
         backend = self.backend(backend_name, circuit, **dict(backend_options or {}))
         # Device resolution.  An explicit task device is *hard*: it must name
-        # an available device (structured DeviceUnavailableError otherwise)
-        # and cpu-only backends reject it below in check_supported().  The
-        # session default is *soft*: applied only to device-capable backends.
+        # a known device (ValidationError otherwise) and cpu-only backends
+        # reject it below in check_supported().  The session default is
+        # *soft*: applied only to device-capable backends.
         # Either way a cpu resolution normalises to device=None, keeping
         # config hashes and plan-cache keys identical to pre-device sessions.
         if task.device is not None:
-            namespace = get_namespace(task.device)
-            resolved_device = None if namespace.device == "cpu" else namespace.device
-            if resolved_device != task.device:
-                task = dataclasses.replace(task, device=resolved_device)
+            get_namespace(task.device)
+            if task.device == "cpu":
+                task = dataclasses.replace(task, device=None)
         elif self.device is not None and backend.capabilities.supports_device:
             task = dataclasses.replace(task, device=self.device)
         stochastic = backend.capabilities.stochastic

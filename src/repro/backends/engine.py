@@ -358,7 +358,7 @@ class BatchedTrajectoryEngine:
             raise ValidationError(f"unknown trajectory backend {backend!r}")
         self.backend = backend
         #: Execution device for the batched hot paths (None = host).  Resolved
-        #: eagerly so an unavailable device fails at construction, not mid-run.
+        #: eagerly so an unknown device fails at construction, not mid-run.
         self.device = device
         self._xp = get_namespace(device or "cpu")
         self.max_intermediate_size = max_intermediate_size

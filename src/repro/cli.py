@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(repeatable, e.g. --param gamma0=0.3)")
         sub.add_argument("--device", default=None,
                          help="execution device for device-capable backends "
-                              "(cpu, fake_gpu, cuda, auto; default: REPRO_DEVICE or cpu)")
+                              "(cpu or fake_gpu; default: REPRO_DEVICE or cpu)")
 
     simulate = subparsers.add_parser("simulate", help="run the approximation algorithm")
     add_circuit_options(simulate)
@@ -715,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress per-case progress lines")
     verify.add_argument("--device", default=None,
                         help="session device for device-capable backends "
-                             "(cpu, fake_gpu, cuda, auto; default: REPRO_DEVICE or cpu)")
+                             "(cpu or fake_gpu; default: REPRO_DEVICE or cpu)")
     verify.set_defaults(func=_cmd_verify)
 
     replay = subparsers.add_parser(

@@ -78,6 +78,9 @@ _REASONS = {
 #: Distinct (name, seed, native_gates) circuits the server keeps built.
 _CIRCUIT_CACHE_SIZE = 64
 
+#: Longest a rejected request's unread body is drained before the close.
+_LINGER_SECONDS = 2.0
+
 
 class ReproServer:
     """A long-lived multi-tenant simulation service (see module docs).
@@ -493,6 +496,7 @@ class ReproServer:
                 if length < 0 or length > self.MAX_BODY_BYTES:
                     writer.write(_http_bytes(413, _http_error("unacceptable content-length"), False))
                     await writer.drain()
+                    await _discard_until_eof(reader, writer)
                     break
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._route(method, path, body)
@@ -533,6 +537,29 @@ class ReproServer:
         if path == "/healthz":
             return 200, {"status": "ok", "closing": self._closing}
         return 404, _http_error(f"no such route: {path}")
+
+
+async def _discard_until_eof(reader, writer) -> None:
+    """Lingering close: half-close, then drop unread request bytes until EOF.
+
+    Closing a socket whose receive buffer still holds the client's unread body
+    makes the kernel answer with RST, which can destroy an already-sent
+    response before the client reads it.  Sending FIN first and draining the
+    rest of the body lets the client finish writing and read the response;
+    the drain is bounded so a client that never stops sending cannot pin the
+    connection.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), _LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass
 
 
 def _http_error(message: str) -> Dict[str, Any]:

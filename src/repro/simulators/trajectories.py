@@ -112,7 +112,7 @@ class TrajectorySimulator:
         self.backend = backend
         self.max_intermediate_size = max_intermediate_size
         #: Execution device for the batched engine (None = host).  Validated
-        #: eagerly so an unavailable device fails at construction time.
+        #: eagerly so an unknown device fails at construction time.
         self.device = device
         if device is not None:
             get_namespace(device)

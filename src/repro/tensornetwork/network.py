@@ -127,14 +127,6 @@ class TensorNetwork:
             raise ValidationError("both nodes must belong to this network")
         if self.observer is not None:
             self.observer(self, node_a, node_b)
-        shared_axes = sum(
-            1
-            for edge in node_a.edges
-            if not edge.is_dangling and edge.other(node_a) is node_b
-        )
-        result_size = (node_a.size * node_b.size) // max(4**shared_axes // 1, 1)
-        # The size estimate above assumes each shared edge has dimension 2 on
-        # both sides; compute the exact value instead to keep the budget honest.
         shared_dim = 1
         for edge in node_a.edges:
             if not edge.is_dangling and edge.other(node_a) is node_b:
@@ -149,7 +141,6 @@ class TensorNetwork:
 
     def contract(
         self,
-        order: Optional[Sequence[tuple]] = None,
         strategy: str = "greedy",
         output_edge_order: Optional[Sequence[Edge]] = None,
     ) -> np.ndarray:
@@ -157,12 +148,9 @@ class TensorNetwork:
 
         Parameters
         ----------
-        order:
-            Explicit list of node pairs to contract, as produced by the
-            ordering heuristics.  When omitted, ``strategy`` selects one of the
-            heuristics in :mod:`repro.tensornetwork.ordering`.
         strategy:
-            ``"greedy"`` (default) or ``"sequential"``.
+            ``"greedy"`` (default) or ``"sequential"``, one of the heuristics
+            in :mod:`repro.tensornetwork.ordering`.
         output_edge_order:
             Optional ordering of the remaining dangling edges for the final
             transpose.
@@ -172,16 +160,12 @@ class TensorNetwork:
         if not self.nodes:
             raise ValidationError("cannot contract an empty network")
 
-        if order is not None:
-            for node_a, node_b in order:
-                self.contract_pair(node_a, node_b)
+        if strategy == "greedy":
+            ordering_mod.contract_greedy(self)
+        elif strategy == "sequential":
+            ordering_mod.contract_sequential(self)
         else:
-            if strategy == "greedy":
-                ordering_mod.contract_greedy(self)
-            elif strategy == "sequential":
-                ordering_mod.contract_sequential(self)
-            else:
-                raise ValidationError(f"unknown contraction strategy {strategy!r}")
+            raise ValidationError(f"unknown contraction strategy {strategy!r}")
 
         # Combine any disconnected components with outer products.
         while len(self.nodes) > 1:

@@ -94,7 +94,7 @@ class ConformanceRunner:
         Session-default execution device (``repro verify --device``): applied
         softly to device-capable backends, so a ``fake_gpu`` conformance run
         certifies the device dispatch path against the cpu-only references.
-        An unavailable device raises here, before any workload runs.
+        An unknown device raises here, before any workload runs.
     """
 
     def __init__(

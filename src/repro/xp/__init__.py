@@ -16,15 +16,14 @@ Three layers:
   Importing it instead of ``numpy`` keeps host math auditable and lets
   ``tools/check_xp_seam.py`` ban direct numpy imports wholesale.
 * :class:`~repro.xp.namespace.ArrayNamespace` implementations — ``numpy``
-  (reference, always available), ``fake_gpu`` (NumPy-backed but with a
-  distinct array wrapper and mandatory explicit transfers, so host/device
-  mixing bugs fail on CPU-only CI), and lazily-discovered ``cupy`` / ``torch``
-  namespaces for real CUDA devices.
+  (the reference) and ``fake_gpu`` (NumPy-backed but with a distinct array
+  wrapper and mandatory explicit transfers, so host/device mixing bugs fail on
+  CPU-only CI).
 * :func:`~repro.xp.registry.get_namespace` — device-string resolution
-  (``"cpu" | "fake_gpu" | "cuda" | "auto"``) with a structured
-  :class:`~repro.xp.registry.DeviceUnavailableError` instead of silent
-  fallback, plus the seam-enforcement registry hot-path modules declare
-  themselves in (:func:`~repro.xp.registry.declare_seam`).
+  (``"cpu" | "fake_gpu"``) with a :class:`~repro.utils.validation.ValidationError`
+  for any other string instead of silent fallback, plus the seam-enforcement
+  registry hot-path modules declare themselves in
+  (:func:`~repro.xp.registry.declare_seam`).
 
 Quickstart::
 
@@ -39,24 +38,18 @@ Quickstart::
 from repro.xp.namespace import ArrayNamespace, Workspace
 from repro.xp.registry import (
     KNOWN_DEVICES,
-    DeviceUnavailableError,
-    available_devices,
     declare_seam,
     default_device,
-    device_available,
     get_namespace,
     seam_modules,
 )
 
 __all__ = [
     "ArrayNamespace",
-    "DeviceUnavailableError",
     "KNOWN_DEVICES",
     "Workspace",
-    "available_devices",
     "declare_seam",
     "default_device",
-    "device_available",
     "get_namespace",
     "seam_modules",
 ]

@@ -1,13 +1,12 @@
 """``fake_gpu``: a NumPy-backed namespace that *enforces* transfer discipline.
 
-Real accelerator namespaces (cupy/torch) cannot run on CPU-only CI, so
-transfer-discipline bugs — host arrays leaking into device ops, implicit
+Transfer-discipline bugs — host arrays leaking into device ops, implicit
 ``numpy`` coercion of device arrays, results consumed without an explicit
-``to_host`` — would otherwise only surface on GPU machines.  This namespace
-makes them fail everywhere: every array it produces is wrapped in
-:class:`FakeDeviceArray`, a type numpy refuses to coerce, and every op raises
-``TypeError`` when handed a raw host ``ndarray`` where a device array is
-expected.
+``to_host`` — pass silently on the cpu namespace, where device and host arrays
+are the same type.  This namespace makes them fail everywhere: every array it
+produces is wrapped in :class:`FakeDeviceArray`, a type numpy refuses to
+coerce, and every op raises ``TypeError`` when handed a raw host ``ndarray``
+where a device array is expected.
 
 Because each op unwraps, runs the *same numpy kernel in the same order* as
 :class:`~repro.xp.numpy_ns.NumpyNamespace`, and re-wraps, results are

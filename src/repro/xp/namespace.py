@@ -119,7 +119,7 @@ class ArrayNamespace:
 
     #: Registry name of the namespace implementation (``numpy``, ``fake_gpu``, …).
     name = "abstract"
-    #: Device string this namespace executes on (``cpu``, ``fake_gpu``, ``cuda``).
+    #: Device string this namespace executes on (``cpu`` or ``fake_gpu``).
     device = "cpu"
 
     def __init__(self, dtype: Any = "complex128", workspace_entries: int = 32):
@@ -246,8 +246,7 @@ class ArrayNamespace:
 
         The zero-copy trick behind the engine's Born-weight einsum:
         ``|z|² = re² + im²`` summed over the doubled axis, with no conjugate
-        temporaries.  numpy/cupy implement it as ``.view(real_dtype)``; torch
-        as ``view_as_real`` + flatten.
+        temporaries.  numpy implements it as ``.view(real_dtype)``.
         """
         self._unimplemented("view_real")
 

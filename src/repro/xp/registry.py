@@ -1,4 +1,4 @@
-"""Device-string resolution, namespace discovery and the seam registry.
+"""Device-string resolution, the namespace cache and the seam registry.
 
 >>> from repro.xp import get_namespace
 >>> get_namespace("cpu").name
@@ -10,16 +10,10 @@
 :class:`~repro.xp.namespace.ArrayNamespace` instance:
 
 ``"cpu"``
-    The numpy reference namespace (always available).
+    The numpy reference namespace.
 ``"fake_gpu"``
     NumPy-backed with a distinct array type and mandatory explicit
-    transfers (always available; the CI vehicle for transfer discipline).
-``"cuda"``
-    A real accelerator namespace, discovered lazily: CuPy first, torch as
-    the fallback.  On machines with neither, a structured
-    :class:`DeviceUnavailableError` is raised — never a silent cpu fallback.
-``"auto"``
-    ``"cuda"`` when available, else ``"cpu"``.
+    transfers (the CI vehicle for transfer discipline).
 ``None``
     The session default: the ``REPRO_DEVICE`` environment variable when set
     (how CI forces ``fake_gpu`` onto the device-capable backends), else
@@ -45,67 +39,20 @@ from repro.xp.namespace import ArrayNamespace
 
 __all__ = [
     "KNOWN_DEVICES",
-    "DeviceUnavailableError",
-    "available_devices",
     "declare_seam",
     "default_device",
-    "device_available",
     "get_namespace",
     "seam_modules",
 ]
 
-#: Accepted ``device=`` strings (``auto`` resolves to ``cuda`` or ``cpu``).
-KNOWN_DEVICES = ("cpu", "fake_gpu", "cuda", "auto")
+#: Accepted ``device=`` strings; anything else is a ValidationError.
+KNOWN_DEVICES = ("cpu", "fake_gpu")
 
 #: Environment variable naming the session-default device (soft: applied only
 #: to backends whose capabilities declare ``supports_device``).
 DEVICE_ENV = "REPRO_DEVICE"
 
-
-class DeviceUnavailableError(ValidationError):
-    """A requested device exists in the registry but cannot run here.
-
-    Raised by :func:`get_namespace` (and therefore by
-    ``Session.compile(device=...)``) instead of silently falling back to the
-    cpu namespace; ``device`` and ``reason`` are structured so serving-layer
-    error responses can surface them.
-    """
-
-    def __init__(self, device: str, reason: str):
-        self.device = device
-        self.reason = reason
-        super().__init__(f"device {device!r} is unavailable: {reason}")
-
-
-# sentinel: provider probing is done once, not per get_namespace call
-_UNPROBED = object()
-_cuda_provider = _UNPROBED
 _NAMESPACES: Dict[tuple, ArrayNamespace] = {}
-
-
-def _probe_cuda_provider():
-    """'cupy' | 'torch' | None — which library can serve ``device="cuda"``."""
-    global _cuda_provider
-    if _cuda_provider is not _UNPROBED:
-        return _cuda_provider
-    provider = None
-    try:
-        import cupy
-
-        if cupy.cuda.runtime.getDeviceCount() > 0:
-            provider = "cupy"
-    except Exception:  # noqa: BLE001 - missing package or no driver/device
-        provider = None
-    if provider is None:
-        try:
-            import torch
-
-            if torch.cuda.is_available():
-                provider = "torch"
-        except Exception:  # noqa: BLE001
-            provider = None
-    _cuda_provider = provider
-    return provider
 
 
 def default_device() -> str:
@@ -119,29 +66,11 @@ def default_device() -> str:
     return device
 
 
-def device_available(device: str) -> bool:
-    """Whether ``get_namespace(device)`` would succeed on this machine."""
-    if device in ("cpu", "fake_gpu", "auto"):
-        return True
-    if device == "cuda":
-        return _probe_cuda_provider() is not None
-    return False
-
-
-def available_devices() -> tuple:
-    """The concrete devices usable here (``auto`` excluded; it is an alias)."""
-    devices = ["cpu", "fake_gpu"]
-    if device_available("cuda"):
-        devices.append("cuda")
-    return tuple(devices)
-
-
 def get_namespace(device: str | None = None, dtype=None) -> ArrayNamespace:
     """The cached :class:`ArrayNamespace` for ``device`` at working ``dtype``.
 
-    Raises :class:`~repro.utils.validation.ValidationError` for unknown device
-    strings and :class:`DeviceUnavailableError` when the device is known but
-    cannot run on this machine (e.g. ``"cuda"`` without CuPy/torch).
+    Raises :class:`~repro.utils.validation.ValidationError` for device strings
+    outside :data:`KNOWN_DEVICES` — never a silent cpu fallback.
     """
     if device is None:
         device = default_device()
@@ -150,8 +79,6 @@ def get_namespace(device: str | None = None, dtype=None) -> ArrayNamespace:
         raise ValidationError(
             f"unknown device {device!r}; known: {', '.join(KNOWN_DEVICES)}"
         )
-    if device == "auto":
-        device = "cuda" if device_available("cuda") else "cpu"
     dtype_key = _np.dtype(dtype or "complex128").str
     key = (device, dtype_key)
     cached = _NAMESPACES.get(key)
@@ -167,23 +94,9 @@ def _build_namespace(device: str, dtype: str) -> ArrayNamespace:
         from repro.xp.numpy_ns import NumpyNamespace
 
         return NumpyNamespace(dtype=dtype)
-    if device == "fake_gpu":
-        from repro.xp.fake_gpu import FakeGpuNamespace
+    from repro.xp.fake_gpu import FakeGpuNamespace
 
-        return FakeGpuNamespace(dtype=dtype)
-    # device == "cuda"
-    provider = _probe_cuda_provider()
-    if provider == "cupy":
-        from repro.xp.cupy_ns import CupyNamespace
-
-        return CupyNamespace(dtype=dtype)
-    if provider == "torch":
-        from repro.xp.torch_ns import TorchNamespace
-
-        return TorchNamespace(dtype=dtype)
-    raise DeviceUnavailableError(
-        "cuda", "neither CuPy nor torch with a CUDA device is importable here"
-    )
+    return FakeGpuNamespace(dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

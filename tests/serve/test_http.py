@@ -113,6 +113,27 @@ class TestErrorsOnTheWire:
             connection.close()
         assert response.status == 413
 
+    def test_repeated_oversized_bodies_all_answered_413(self, bg_server):
+        # Each rejection must reach the client even though the server never
+        # reads the 2 MiB body: closing with unread input would send RST.
+        import http.client
+
+        blob = json.dumps({"circuit": "x" * (2 << 20)}).encode()
+        statuses = []
+        for _ in range(20):
+            connection = http.client.HTTPConnection(
+                bg_server.host, bg_server.port, timeout=10
+            )
+            try:
+                connection.request(
+                    "POST", "/simulate", body=blob,
+                    headers={"Content-Type": "application/json"},
+                )
+                statuses.append(connection.getresponse().status)
+            finally:
+                connection.close()
+        assert statuses == [413] * 20
+
 
 class TestKeepAlive:
     def test_one_connection_many_requests(self, bg_server):

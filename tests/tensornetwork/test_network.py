@@ -5,6 +5,7 @@ import pytest
 
 from repro.tensornetwork import (
     ContractionMemoryError,
+    ContractionPlan,
     Node,
     TensorNetwork,
     connect,
@@ -182,3 +183,69 @@ class TestNetworkContraction:
     def test_estimate_contraction_cost(self):
         network = self._chain_network([np.eye(2)] * 3)
         assert estimate_contraction_cost(network) >= 4
+
+
+class TestGreedyTieBreak:
+    """Pin which equal-cost pair greedy contracts, and in which orientation.
+
+    Replayed values depend bit-for-bit on the recorded positions and axes, so
+    any rewrite of the greedy planner must reproduce these schedules exactly.
+    """
+
+    @staticmethod
+    def _ring(n=6):
+        network = TensorNetwork()
+        nodes = [network.add_node(np.full((2, 2), 0.5), name=f"r{i}") for i in range(n)]
+        for i in range(n):
+            network.connect(nodes[i].edges[1], nodes[(i + 1) % n].edges[0])
+        return network
+
+    @staticmethod
+    def _grid(rows=2, cols=3):
+        links = []
+        for r in range(rows):
+            for c in range(cols):
+                if c + 1 < cols:
+                    links.append(((r, c), (r, c + 1)))
+                if r + 1 < rows:
+                    links.append(((r, c), (r + 1, c)))
+        degree = {}
+        for a, b in links:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        network = TensorNetwork()
+        nodes = {
+            (r, c): network.add_node(np.full((2,) * degree[(r, c)], 0.5), name=f"g{r}{c}")
+            for r in range(rows)
+            for c in range(cols)
+        }
+        used = dict.fromkeys(nodes, 0)
+        for a, b in links:
+            network.connect(nodes[a].edges[used[a]], nodes[b].edges[used[b]])
+            used[a] += 1
+            used[b] += 1
+        return network
+
+    def test_ring_of_identical_tensors(self):
+        plan, value = ContractionPlan.record(self._ring())
+        assert plan.steps == [
+            (0, 5, (0,), (1,)),
+            (0, 4, (0,), (0,)),
+            (0, 3, (0,), (0,)),
+            (0, 2, (0,), (0,)),
+            (0, 1, (0, 1), (0, 1)),
+        ]
+        assert plan.peak_intermediate_entries == 4
+        assert value == pytest.approx(1.0)
+
+    def test_grid_of_identical_tensors(self):
+        plan, value = ContractionPlan.record(self._grid())
+        assert plan.steps == [
+            (0, 3, (1,), (0,)),
+            (1, 3, (1,), (0,)),
+            (0, 2, (0,), (0,)),
+            (0, 2, (0, 1), (1, 2)),
+            (0, 1, (0, 1), (1, 0)),
+        ]
+        assert plan.peak_intermediate_entries == 8
+        assert value == pytest.approx(2.0)

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.api import Session
+from repro.circuits.library import ghz_circuit
+from repro.cli import main
+from repro.sweeps import load_spec
 from repro.utils.validation import ValidationError
 from repro.xp import (
-    DeviceUnavailableError,
-    available_devices,
+    KNOWN_DEVICES,
     declare_seam,
     default_device,
-    device_available,
     get_namespace,
     seam_modules,
 )
@@ -20,7 +22,6 @@ class TestResolution:
         assert xp.name == "numpy" and xp.device == "cpu"
 
     def test_fake_gpu_always_available(self):
-        assert device_available("fake_gpu")
         assert get_namespace("fake_gpu").device == "fake_gpu"
 
     def test_namespaces_are_cached(self):
@@ -38,21 +39,65 @@ class TestResolution:
         with pytest.raises(ValidationError, match="unknown device"):
             get_namespace("tpu")
 
-    def test_available_devices_contains_the_builtins(self):
-        devices = available_devices()
-        assert "cpu" in devices and "fake_gpu" in devices
+    def test_known_devices_are_the_two_tested_namespaces(self):
+        assert KNOWN_DEVICES == ("cpu", "fake_gpu")
+        assert [get_namespace(device).device for device in KNOWN_DEVICES] == list(
+            KNOWN_DEVICES
+        )
 
-    def test_auto_resolves_to_a_concrete_device(self):
-        assert get_namespace("auto").device in ("cpu", "cuda")
 
-    @pytest.mark.skipif(
-        device_available("cuda"), reason="machine actually has a CUDA namespace"
+def _through_get_namespace(device, monkeypatch):
+    get_namespace(device)
+
+
+def _through_env_default(device, monkeypatch):
+    monkeypatch.setenv("REPRO_DEVICE", device)
+    get_namespace(None)
+
+
+def _through_session_default(device, monkeypatch):
+    Session(device=device)
+
+
+def _through_per_call_device(device, monkeypatch):
+    with Session(device="cpu") as session:
+        session.run(ghz_circuit(2), backend="statevector", device=device)
+
+
+def _through_sweep_spec(device, monkeypatch):
+    load_spec(
+        {
+            "name": "device_check",
+            "device": device,
+            "grid": {"circuit": ["ghz_2"], "backend": ["statevector"]},
+        }
     )
-    def test_cuda_unavailable_is_structured(self):
-        with pytest.raises(DeviceUnavailableError) as excinfo:
-            get_namespace("cuda")
-        assert excinfo.value.device == "cuda"
-        assert excinfo.value.reason
+
+
+@pytest.mark.parametrize("device", ["cuda", "auto"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _through_get_namespace,
+        _through_env_default,
+        _through_session_default,
+        _through_per_call_device,
+        _through_sweep_spec,
+    ],
+    ids=lambda entry: entry.__name__.removeprefix("_through_"),
+)
+def test_removed_device_strings_are_unknown_everywhere(entry, device, monkeypatch):
+    """``cuda``/``auto`` are not devices: each entry point names the known ones."""
+    with pytest.raises(ValidationError, match="known: cpu, fake_gpu") as excinfo:
+        entry(device, monkeypatch)
+    assert repr(device) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("device", ["cuda", "auto"])
+def test_removed_device_strings_are_unknown_on_the_cli(device, capsys):
+    argv = ["simulate", "--circuit", "ghz_3", "--noises", "1", "--device", device]
+    assert main(argv) == 2
+    assert f"unknown device {device!r}; known: cpu, fake_gpu" in capsys.readouterr().err
 
 
 class TestEnvDefault:

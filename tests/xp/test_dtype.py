@@ -16,7 +16,7 @@ import pytest
 from repro.circuits.library import benchmark_circuit, ghz_circuit, qft_circuit
 from repro.simulators import StatevectorSimulator
 from repro.verify.oracles import CrossBackendAgreement
-from repro.xp import available_devices, get_namespace
+from repro.xp import KNOWN_DEVICES, get_namespace
 
 #: The statistical floor the conformance oracles grant stochastic backends.
 FLOOR = CrossBackendAgreement().stochastic_floor
@@ -51,7 +51,7 @@ class TestComplex64Contract:
     def test_complex64_contract_holds_on_every_device(self):
         circuit = benchmark_circuit("qaoa_4", seed=2)
         reference = StatevectorSimulator().run(circuit)
-        for device in available_devices():
+        for device in KNOWN_DEVICES:
             single = StatevectorSimulator(device=device, dtype="complex64").run(circuit)
             overlap = abs(np.vdot(single.astype(np.complex128), reference)) ** 2
             assert overlap == pytest.approx(1.0, abs=FLOOR), device
