@@ -436,7 +436,7 @@ class ApproximationBackend(SimulationBackend):
             return None
         if is_parametric(circuit):
             # The approximation plan bakes gate tensors into its specialized
-            # per-term schedules, which would freeze one binding's values;
+            # split-network schedules, which would freeze one binding's values;
             # without a plan, fidelity() prepares the bound circuit being run.
             return None
         input_state, output_state = _default_states(circuit, task)
@@ -455,5 +455,6 @@ class ApproximationBackend(SimulationBackend):
                 "error_bound": result.error_bound,
                 "num_terms": result.num_terms,
                 "num_noises": result.num_noises,
+                "replay_calls": result.replay_calls,
             },
         )

@@ -10,9 +10,10 @@ two batched hot paths:
 * **tn** — the amplitude network of a trajectory has the same topology for
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
-  a template and replayed per trajectory via
-  :class:`repro.tensornetwork.plan.ContractionPlan` (state-independent Kraus
-  sampling with importance weights, as in the original implementation).
+  a template, and all trajectories of a block are replayed together by one
+  batched :class:`repro.tensornetwork.plan.SpecializedPlan` call on stacks of
+  sampled Kraus tensors (state-independent Kraus sampling with importance
+  weights, as in the original implementation).
 
 Two RNG regimes are supported:
 
@@ -176,7 +177,8 @@ class _TrajectoryContext:
         self._input_state = input_state
         self._output_state = output_state
         #: Per-namespace cache of device-resident operator tensors (see
-        #: :meth:`device_tensors`); contexts are reusable across devices.
+        #: :meth:`device_tensors` and :meth:`kraus_stacks`); contexts are
+        #: reusable across devices.
         self._device_cache = {}
         if engine.backend == "statevector":
             self.psi0 = dense_product_state(input_state, self.num_qubits)
@@ -236,7 +238,7 @@ class _TrajectoryContext:
             engine, circuit, input_state, output_state
         )
         self.plan, _ = ContractionPlan.record(template)
-        # Partial evaluation over the static tensors: per-sample replays touch
+        # Partial evaluation over the static tensors: batched replays touch
         # only the contractions downstream of a sampled Kraus tensor (values
         # are bit-identical to a full replay; the static prefix is paid once).
         # Noiseless circuits take the single-replay short circuit instead.
@@ -341,6 +343,25 @@ class _TrajectoryContext:
                     )
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
             self._device_cache[xp.name] = cached
+        return cached
+
+    def kraus_stacks(self, xp) -> List:
+        """Per noise channel, its Kraus tensors stacked on a leading axis, on ``xp``.
+
+        Transferred once per namespace and cached (TN path): a batch of
+        sampled Kraus choices is then one device-side gather per channel.
+        """
+        key = ("kraus", xp.name)
+        cached = self._device_cache.get(key)
+        if cached is None:
+            cached = [
+                xp.asarray(np.stack([
+                    np.asarray(op, dtype=complex).reshape([2] * (2 * len(inst.qubits)))
+                    for op in inst.operation.kraus_operators
+                ]))
+                for _, inst in self.noise_positions
+            ]
+            self._device_cache[key] = cached
         return cached
 
 
@@ -713,29 +734,22 @@ class BatchedTrajectoryEngine:
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
             weights /= context.q_dists[channel][choices[:, channel]]
 
-        # On a device, the small sampled Kraus tensors are the only per-sample
-        # host->device traffic: they are staged through per-position workspace
-        # buffers (reused across samples) and the specialized plan replays on
-        # the device against its cached baked tensors.
-        dispatch = None if self._xp.device == "cpu" else self._xp
-        values = np.empty(num_samples)
-        for sample in range(num_samples):
-            substitutions = {}
-            for channel, (position, inst) in enumerate(context.noise_positions):
-                operator = inst.operation.kraus_operators[choices[sample, channel]]
-                k = len(inst.qubits)
-                host_tensor = np.asarray(operator, dtype=complex).reshape([2] * (2 * k))
-                if dispatch is None:
-                    substitutions[position] = host_tensor
-                else:
-                    staged = dispatch.workspace(
-                        host_tensor.shape, host_tensor.dtype, tag=("kraus", position)
-                    )
-                    dispatch.copyto(staged, host_tensor)
-                    substitutions[position] = staged
-            amplitude = context.specialized.execute(substitutions, xp=dispatch)
-            values[sample] = float(abs(amplitude) ** 2) * weights[sample]
-        return values
+        # One batched replay: each noise position gets the stack of its
+        # sampled Kraus tensors, gathered on the device from the cached
+        # per-channel stacks by the host-side choice indices.
+        stacks = {
+            position: kraus[choices[:, channel]]
+            for channel, ((position, _), kraus) in enumerate(
+                zip(context.noise_positions, context.kraus_stacks(self._xp))
+            )
+        }
+        amplitudes = context.specialized.execute(
+            stacks, xp=self._xp, max_intermediate_size=self.max_intermediate_size
+        )
+        return np.array([
+            abs(amplitude) ** 2 * weight
+            for amplitude, weight in zip(amplitudes.tolist(), weights.tolist())
+        ])
 
 
 def _pool_worker(payload) -> List[np.ndarray]:

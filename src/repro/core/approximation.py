@@ -28,11 +28,10 @@ for the exact superoperator backends.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +45,15 @@ from repro.tensornetwork.circuit_to_tn import (
     resolve_product_state,
     substituted_split_networks,
 )
-from repro.tensornetwork.plan import ContractionPlan
+from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.utils.validation import ValidationError
 
-__all__ = ["ApproximationResult", "ApproximateNoisySimulator", "PreparedApproximation"]
+__all__ = [
+    "ApproximationResult",
+    "ApproximateNoisySimulator",
+    "PreparedApproximation",
+    "term_indices",
+]
 
 
 @dataclass(frozen=True)
@@ -60,22 +64,50 @@ class PreparedApproximation:
     network topologies (only the inserted ``U_i``/``V_i`` tensor values
     change), so the noise decompositions, the upper/lower template networks
     and their recorded contraction schedules can be computed once — by
-    :meth:`ApproximateNoisySimulator.prepare` — and replayed per term with the
-    noise tensors swapped in.  The plans are level-independent: one prepared
-    object serves ``fidelity(..., level=l)`` for every ``l``.
+    :meth:`ApproximateNoisySimulator.prepare` — and replayed for a whole batch
+    of terms with the noise tensors swapped in.  The plans are
+    level-independent: one prepared object serves ``fidelity(..., level=l)``
+    for every ``l``, but only for the circuit and boundary states it was
+    prepared from (:meth:`check_matches`).
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
     upper_plan: ContractionPlan
     lower_plan: ContractionPlan
-    upper_tensors: Tuple[np.ndarray, ...]
-    lower_tensors: Tuple[np.ndarray, ...]
+    #: Partially evaluated plans: contractions not downstream of any noise
+    #: tensor are baked in, so each batch replays only the residual steps.
+    upper_specialized: SpecializedPlan
+    lower_specialized: SpecializedPlan
     #: Node positions of the noise operations in both template networks.
     noise_positions: Tuple[int, ...]
-    #: Partially evaluated plans: contractions not downstream of any noise
-    #: tensor are baked in, so each term replays only the residual steps.
-    upper_specialized: Any = None
-    lower_specialized: Any = None
+    #: Per noise, its ``U_i`` (upper) and ``V_i`` (lower) tensors stacked along
+    #: a leading term axis, shaped like the noise's template node.
+    upper_terms: Tuple[np.ndarray, ...]
+    lower_terms: Tuple[np.ndarray, ...]
+    #: :meth:`Circuit.fingerprint` of the prepared circuit.
+    fingerprint: str
+    input_state: StateLike
+    output_state: StateLike
+
+    def check_matches(
+        self, circuit: Circuit, input_state: StateLike, output_state: StateLike
+    ) -> None:
+        """Raise :class:`ValidationError` unless this was prepared for these inputs."""
+        fingerprint = circuit.fingerprint()
+        if fingerprint != self.fingerprint:
+            raise ValidationError(
+                "prepared plan was recorded for a different circuit "
+                f"(fingerprint {self.fingerprint[:12]}…, got {fingerprint[:12]}…)"
+            )
+        n = circuit.num_qubits
+        for name, prepared, given in (
+            ("input", self.input_state, input_state),
+            ("output", self.output_state, output_state),
+        ):
+            if not _same_state(prepared, given, n):
+                raise ValidationError(
+                    f"prepared plan was recorded for a different {name} state"
+                )
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
@@ -84,10 +116,50 @@ class PreparedApproximation:
             "upper": self.upper_plan.describe(),
             "lower": self.lower_plan.describe(),
         }
-        if self.upper_specialized is not None:
-            info["upper"]["residual_steps"] = self.upper_specialized.num_residual_steps
-            info["lower"]["residual_steps"] = self.lower_specialized.num_residual_steps
+        info["upper"]["residual_steps"] = self.upper_specialized.num_residual_steps
+        info["lower"]["residual_steps"] = self.lower_specialized.num_residual_steps
         return info
+
+
+def _same_state(a: StateLike, b: StateLike, num_qubits: int) -> bool:
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    resolved_a = resolve_product_state(a, num_qubits)
+    resolved_b = resolve_product_state(b, num_qubits)
+    if isinstance(resolved_a, list) != isinstance(resolved_b, list):
+        return False
+    if isinstance(resolved_a, list):
+        return all(np.array_equal(x, y) for x, y in zip(resolved_a, resolved_b))
+    return np.array_equal(resolved_a, resolved_b)
+
+
+def term_indices(
+    decompositions: Sequence[NoiseTermDecomposition], level: int
+) -> Tuple[np.ndarray, List[int]]:
+    """Algorithm 1's terms up to ``level`` as rows of per-noise term indices.
+
+    Row ``r`` substitutes term ``rows[r, i]`` of noise ``i`` (0 = dominant).
+    Rows come grouped by level — level ``k`` is ``rows[offsets[k]:offsets[k + 1]]``
+    — and, within a level, in the order of position combinations and then of
+    sub-dominant assignments.
+    """
+    num_noises = len(decompositions)
+    blocks = []
+    offsets = [0]
+    for k in range(level + 1):
+        count = 0
+        for positions in itertools.combinations(range(num_noises), k):
+            # Each selected position can use any of its sub-dominant terms.
+            assignments = list(itertools.product(
+                *(range(1, decompositions[p].num_terms) for p in positions)
+            ))
+            block = np.zeros((len(assignments), num_noises), dtype=np.intp)
+            if positions and assignments:
+                block[:, list(positions)] = assignments
+            blocks.append(block)
+            count += len(assignments)
+        offsets.append(offsets[-1] + count)
+    return np.concatenate(blocks), offsets
 
 
 @dataclass(frozen=True)
@@ -102,6 +174,9 @@ class ApproximationResult:
     level_contributions: Tuple[float, ...]
     max_noise_rate: float
     elapsed_seconds: float
+    #: Batched plan replays the run made (two per batch of terms — upper and
+    #: lower half; 0 with the dense ``"statevector"`` term backend).
+    replay_calls: int = 0
 
     @property
     def error_bound(self) -> float:
@@ -114,6 +189,22 @@ class ApproximationResult:
             f"(noises={self.num_noises}, terms={self.num_terms}, "
             f"contractions={self.num_contractions}, bound={self.error_bound:.2e})"
         )
+
+
+def _stacked_terms(
+    decompositions: Sequence[NoiseTermDecomposition],
+    noise_positions: Sequence[int],
+    template_tensors: Sequence[np.ndarray],
+    half: int,
+) -> Tuple[np.ndarray, ...]:
+    """Per noise, its terms' ``U_i`` (``half=0``) or ``V_i`` (``half=1``) stacked."""
+    return tuple(
+        np.stack([
+            np.asarray(term[half], dtype=complex).reshape(template_tensors[position].shape)
+            for term in decomposition.terms
+        ])
+        for decomposition, position in zip(decompositions, noise_positions)
+    )
 
 
 class ApproximateNoisySimulator:
@@ -190,10 +281,10 @@ class ApproximateNoisySimulator:
         SVD-decomposes every noise channel and records the contraction
         schedules of the dominant-term split networks; since every substituted
         term shares those topologies, :meth:`fidelity` replays the schedules
-        with swapped noise tensors instead of building and greedy-ordering two
-        fresh networks per term.  Values are bit-identical to contracting each
-        term's own networks (the greedy heuristic decides from tensor *shapes*
-        only, which are the same for every term).
+        once for a batch of all terms' noise tensors instead of building and
+        greedy-ordering two fresh networks per term.  Values are bit-identical
+        to contracting each term's own networks (the greedy heuristic decides
+        from tensor *shapes* only, which are the same for every term).
         """
         if self.backend != "tn":
             raise ValidationError(
@@ -216,8 +307,8 @@ class ApproximateNoisySimulator:
             max_intermediate_size=self.max_intermediate_size,
         )
         # Recording consumes the networks, so snapshot the tensors first.
-        upper_tensors = tuple(node.tensor for node in upper.nodes)
-        lower_tensors = tuple(node.tensor for node in lower.nodes)
+        upper_tensors = [node.tensor for node in upper.nodes]
+        lower_tensors = [node.tensor for node in lower.nodes]
         upper_plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
         lower_plan, _ = ContractionPlan.record(lower, strategy=self.strategy)
         # Boundary input nodes precede the op nodes in insertion order (one
@@ -234,11 +325,14 @@ class ApproximateNoisySimulator:
             decompositions=tuple(decompositions),
             upper_plan=upper_plan,
             lower_plan=lower_plan,
-            upper_tensors=upper_tensors,
-            lower_tensors=lower_tensors,
+            upper_specialized=upper_plan.specialize(upper_tensors, noise_positions),
+            lower_specialized=lower_plan.specialize(lower_tensors, noise_positions),
             noise_positions=noise_positions,
-            upper_specialized=upper_plan.specialize(list(upper_tensors), noise_positions),
-            lower_specialized=lower_plan.specialize(list(lower_tensors), noise_positions),
+            upper_terms=_stacked_terms(decompositions, noise_positions, upper_tensors, 0),
+            lower_terms=_stacked_terms(decompositions, noise_positions, lower_tensors, 1),
+            fingerprint=circuit.fingerprint(),
+            input_state=input_state,
+            output_state=output_state,
         )
 
     def _term_evaluator(
@@ -247,48 +341,56 @@ class ApproximateNoisySimulator:
         input_state: StateLike,
         output_state: StateLike,
         prepared: PreparedApproximation | None = None,
-    ) -> Tuple[List[NoiseTermDecomposition], Callable[[Dict], complex]]:
-        """The noise decompositions and the per-term evaluator of one run.
+    ) -> Tuple[List[NoiseTermDecomposition], Callable[[np.ndarray], Tuple[List[complex], int]]]:
+        """The noise decompositions and the batch evaluator of one run.
 
-        With the ``"tn"`` term backend every term replays the plans of
-        ``prepared``, which are recorded here when not given; the
+        The evaluator maps a ``(T, N)`` array of term-index rows (see
+        :func:`term_indices`) to the ``T`` term values ``upper × lower`` and
+        the number of batched plan replays it made.  With the ``"tn"`` term
+        backend the rows replay the plans of ``prepared`` — which must have
+        been prepared for this circuit and these boundary states, and are
+        recorded here when not given — in two batched calls; the
         ``"statevector"`` backend applies each term's matrices densely.
         """
-        if prepared is None and self.backend == "tn":
+        if prepared is not None:
+            prepared.check_matches(circuit, input_state, output_state)
+        elif self.backend == "tn":
             prepared = self.prepare(circuit, input_state, output_state)
         if prepared is None:
-            def evaluate(substitution):
-                return self._evaluate_term_statevector(
-                    circuit, substitution, input_state, output_state
-                )
+            decompositions = self.decompose_noises(circuit)
 
-            return self.decompose_noises(circuit), evaluate
-        if len(prepared.decompositions) != circuit.noise_count():
-            raise ValidationError(
-                "prepared plan covers "
-                f"{len(prepared.decompositions)} noises but the circuit "
-                f"has {circuit.noise_count()}"
-            )
-        return list(prepared.decompositions), functools.partial(
-            self._evaluate_term_prepared, prepared
-        )
+            def evaluate_dense(rows: np.ndarray) -> Tuple[List[complex], int]:
+                values = []
+                for row in rows.tolist():
+                    substitution = {
+                        noise_index: decompositions[noise_index].terms[term_index]
+                        for noise_index, term_index in enumerate(row)
+                    }
+                    values.append(self._evaluate_term_statevector(
+                        circuit, substitution, input_state, output_state
+                    ))
+                return values, 0
 
-    def _evaluate_term_prepared(
-        self,
-        prepared: PreparedApproximation,
-        substitution: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    ) -> complex:
-        upper: Dict[int, np.ndarray] = {}
-        lower: Dict[int, np.ndarray] = {}
-        for noise_index, position in enumerate(prepared.noise_positions):
-            u_matrix, v_matrix = substitution[noise_index]
-            upper[position] = np.asarray(u_matrix, dtype=complex).reshape(
-                prepared.upper_tensors[position].shape
-            )
-            lower[position] = np.asarray(v_matrix, dtype=complex).reshape(
-                prepared.lower_tensors[position].shape
-            )
-        return prepared.upper_specialized.execute(upper) * prepared.lower_specialized.execute(lower)
+            return decompositions, evaluate_dense
+
+        def evaluate(rows: np.ndarray) -> Tuple[List[complex], int]:
+            halves = []
+            for specialized, terms in (
+                (prepared.upper_specialized, prepared.upper_terms),
+                (prepared.lower_specialized, prepared.lower_terms),
+            ):
+                stacks = {
+                    position: terms[noise_index][rows[:, noise_index]]
+                    for noise_index, position in enumerate(prepared.noise_positions)
+                }
+                halves.append(specialized.execute(
+                    stacks, max_intermediate_size=self.max_intermediate_size
+                ).tolist())
+            # Python complex products: numpy's vectorised multiply may round
+            # differently from the scalar product of one term's two halves.
+            return [upper * lower for upper, lower in zip(*halves)], 2
+
+        return list(prepared.decompositions), evaluate
 
     def _evaluate_term_statevector(
         self,
@@ -336,10 +438,13 @@ class ApproximateNoisySimulator:
         """Return the level-``l`` approximation ``A(l)`` of ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩``.
 
         ``input_state`` and ``output_state`` default to ``|0…0⟩`` as in the
-        paper's Table II experiments.  With the ``"tn"`` term backend every
-        term is a replay of the plans recorded by :meth:`prepare`;
-        ``prepared`` supplies them when already recorded (for the same
-        circuit and boundary states), otherwise this call records them.
+        paper's Table II experiments.  The terms are enumerated as rows of
+        term indices (:func:`term_indices`); with the ``"tn"`` term backend
+        all of them are evaluated by two batched replays of the plans recorded
+        by :meth:`prepare`.  ``prepared`` supplies those plans when already
+        recorded; it must come from the same circuit and boundary states
+        (:class:`ValidationError` otherwise).  Without it this call records
+        them.
         """
         start = time.perf_counter()
         level = self.level if level is None else int(level)
@@ -354,31 +459,19 @@ class ApproximateNoisySimulator:
         )
         num_noises = len(decompositions)
         level = min(level, num_noises)
+        rows, offsets = term_indices(decompositions, level)
+        values, replay_calls = evaluate(rows)
 
+        # Sum each level's contributions in enumeration order, then the total.
         total = 0.0 + 0.0j
         level_contributions: List[float] = []
-        num_terms = 0
-
         for k in range(level + 1):
             contribution = 0.0 + 0.0j
-            for positions in itertools.combinations(range(num_noises), k):
-                # Each selected position can use any of its sub-dominant terms.
-                choices_per_position = []
-                for position in positions:
-                    available = range(1, decompositions[position].num_terms)
-                    choices_per_position.append(list(available))
-                if positions and any(not c for c in choices_per_position):
-                    continue
-                for assignment in itertools.product(*choices_per_position):
-                    substitution: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-                    for noise_index in range(num_noises):
-                        substitution[noise_index] = decompositions[noise_index].terms[0]
-                    for position, term_index in zip(positions, assignment):
-                        substitution[position] = decompositions[position].terms[term_index]
-                    contribution += evaluate(substitution)
-                    num_terms += 1
+            for value in values[offsets[k]:offsets[k + 1]]:
+                contribution += value
             level_contributions.append(float(np.real(contribution)))
             total += contribution
+        num_terms = len(values)
 
         max_rate = max((d.noise_rate for d in decompositions), default=0.0)
         elapsed = time.perf_counter() - start
@@ -391,6 +484,7 @@ class ApproximateNoisySimulator:
             level_contributions=tuple(level_contributions),
             max_noise_rate=max_rate,
             elapsed_seconds=elapsed,
+            replay_calls=replay_calls,
         )
 
     # ------------------------------------------------------------------

@@ -12,8 +12,9 @@ paths are added.
 
 The variant reuses the split-network evaluation of
 :class:`~repro.core.approximation.ApproximateNoisySimulator`; each path is
-again a product of two independent single-size contractions, replayed (with
-the ``"tn"`` term backend) from the plans recorded once per call.  The
+again a product of two independent single-size contractions, and a path is a
+row of term indices, so (with the ``"tn"`` term backend) all selected paths
+are evaluated by two batched replays of the plans recorded once per call.  The
 level-``l`` approximation corresponds to the set of paths with at most ``l``
 non-dominant indices, so the two truncation schemes coincide when the
 singular-value gaps are uniform, and differ when some noises are much stronger
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -144,17 +145,18 @@ class PathTruncatedSimulator:
             np.prod([sum(d.singular_values) for d in decompositions])
         ) if decompositions else 1.0
 
+        weighted_paths = list(enumerate_paths_by_weight(decompositions, max_paths=max_paths))
+        rows = np.array([path for _, path in weighted_paths], dtype=np.intp)
+        values, _ = evaluate(rows.reshape(len(weighted_paths), len(decompositions)))
+
+        # Accumulate in path order (heaviest first), as the anytime partial
+        # sums do.
         total = 0.0 + 0.0j
         evaluated_weight = 0.0
-        num_paths = 0
-        for weight, path in enumerate_paths_by_weight(decompositions, max_paths=max_paths):
-            substitution: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-                noise_index: decompositions[noise_index].terms[term_index]
-                for noise_index, term_index in enumerate(path)
-            }
-            total += evaluate(substitution)
+        for (weight, _), value in zip(weighted_paths, values):
+            total += value
             evaluated_weight += weight
-            num_paths += 1
+        num_paths = len(weighted_paths)
 
         elapsed = time.perf_counter() - start
         return PathTruncationResult(

@@ -153,6 +153,12 @@ class TestResultMetadata:
         assert result.metadata["error_bound"] > 0
         assert result.num_contractions and result.num_contractions > 0
 
+    def test_approximation_result_counts_batched_replays(self, noisy_circuit):
+        # Every term of the run is served by one upper and one lower replay.
+        result = get_backend("approximation").run(noisy_circuit, SimulationTask(level=2))
+        assert result.metadata["num_terms"] > 2
+        assert result.metadata["replay_calls"] == 2
+
     def test_trajectory_result_carries_stderr(self, noisy_circuit):
         result = get_backend("trajectories").run(
             noisy_circuit, SimulationTask(num_samples=256, seed=0)

@@ -157,3 +157,44 @@ class TestAccuracy:
         exact = DensityMatrixSimulator().fidelity(noisy, zero_state(3))
         result = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
         assert abs(result.value - exact) <= result.error_bound + 1e-9
+
+
+class TestPreparedApproximation:
+    def test_prepared_from_another_circuit_is_rejected(self):
+        # Same noise count, different circuits: the prepared plans of one must
+        # not silently serve the other.
+        ghz = NoiseModel(depolarizing_channel(0.02), seed=1).insert_random(ghz_circuit(3), 2)
+        qaoa = NoiseModel(depolarizing_channel(0.02), seed=1).insert_random(
+            qaoa_circuit(3, seed=1), 2
+        )
+        simulator = ApproximateNoisySimulator(level=1)
+        prepared = simulator.prepare(ghz)
+        with pytest.raises(ValidationError, match="different circuit"):
+            simulator.fidelity(qaoa, prepared=prepared)
+
+    def test_prepared_for_other_boundary_states_is_rejected(self):
+        noisy = _noisy(noises=2)
+        simulator = ApproximateNoisySimulator(level=1)
+        prepared = simulator.prepare(noisy, output_state="000")
+        with pytest.raises(ValidationError, match="output state"):
+            simulator.fidelity(noisy, output_state="111", prepared=prepared)
+        with pytest.raises(ValidationError, match="input state"):
+            simulator.fidelity(noisy, input_state="100", prepared=prepared)
+
+    def test_prepared_for_same_inputs_matches_fresh_run(self):
+        noisy = _noisy(noises=3)
+        simulator = ApproximateNoisySimulator(level=2)
+        prepared = simulator.prepare(noisy)
+        fresh = simulator.fidelity(noisy)
+        # An equivalent spelling of |000> (explicit product factors) is accepted.
+        factors = [np.array([1.0, 0.0])] * 3
+        replayed = simulator.fidelity(noisy, input_state=factors, prepared=prepared)
+        assert replayed.value == fresh.value
+
+    def test_replay_calls(self):
+        noisy = _noisy(noises=8, p=0.01)
+        result = ApproximateNoisySimulator(level=1).fidelity(noisy)
+        assert result.num_terms == 25
+        assert result.replay_calls == 2
+        dense = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
+        assert dense.replay_calls == 0
