@@ -10,8 +10,8 @@ Every adapter has one execution path, ``_run(circuit, task, plan)``:
 when the caller did not pass one from
 :meth:`~repro.backends.base.SimulationBackend.compile`.  Adapters with
 expensive per-circuit one-time work put it in ``_compile``: the TN adapter
-records its contraction schedule once, the trajectory adapters prepare the
-engine's per-circuit context (template network, Kraus sampling
+plans and specializes its contraction once, the trajectory adapters prepare the
+engine's per-circuit context (specialized template plan, Kraus sampling
 distributions), the approximation adapter records the split-network schedules
 all substituted terms replay, and the statevector adapter resolves its dense
 boundary states.  The remaining adapters have nothing to precompute and
@@ -152,14 +152,8 @@ class TNBackend(SimulationBackend):
         return self._simulator(task).prepare(circuit, input_state, output_state)
 
     def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
-        if plan.parametric:
-            # Bind-slot template: replay the recorded schedule on tensors
-            # rebuilt from the bound circuit actually being executed.
-            return BackendResult(
-                backend=self.name, value=plan.execute_bound(circuit), num_contractions=1
-            )
         return BackendResult(
-            backend=self.name, value=plan.execute(), num_contractions=1
+            backend=self.name, value=plan.execute(circuit), num_contractions=1
         )
 
 
@@ -325,12 +319,6 @@ class _TrajectoryBackendBase(SimulationBackend):
 
     def _run(self, circuit: Circuit, task: SimulationTask, plan) -> BackendResult:
         input_state, output_state = _default_states(circuit, task)
-        if plan is not None and plan.parametric:
-            # The compiled context is a bind-slot template (prepared from a
-            # placeholder binding): swap in the bound circuit's gate values
-            # while reusing the recorded contraction plan and the Kraus
-            # sampling distributions, which are value-independent.
-            plan = plan.rebound(circuit)
         result = self._engine_for(task).estimate_fidelity(
             circuit,
             task.num_samples,
@@ -342,9 +330,9 @@ class _TrajectoryBackendBase(SimulationBackend):
             # A caller-owned process pool (e.g. a session's shared pool); the
             # engine reuses it without shutting it down.
             executor=task.executor,
-            # The prepared per-circuit context (template network, recorded
-            # contraction plan, Kraus sampling distributions); None in the
-            # pooled regime, where every worker prepares its own.
+            # The prepared per-circuit context (specialized contraction plan,
+            # Kraus sampling distributions); None in the pooled regime, where
+            # every worker prepares its own.
             context=plan,
         )
         return BackendResult(

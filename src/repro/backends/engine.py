@@ -38,19 +38,20 @@ trajectories on every device.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import is_parametric
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     dense_product_state,
+    gate_tensor,
+    instruction_nodes,
     operator_amplitude_network,
-    resolve_product_state,
 )
 from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
@@ -168,14 +169,14 @@ class _TrajectoryContext:
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_channels = circuit.noise_count()
-        #: True when the circuit carries parametric gates: the context is then
-        #: a bind-slot template whose tensor values belong to whichever
-        #: binding prepared it — :meth:`rebound` swaps in another binding's
-        #: values without repeating the plan recording.
-        self.parametric = is_parametric(circuit)
         self._engine = engine
-        self._input_state = input_state
-        self._output_state = output_state
+        #: Instruction indices of the parametric gates: their values belong to
+        #: whichever binding prepared the context, and :meth:`bind` swaps in
+        #: another binding's.
+        self.gate_indices = [
+            index for index, inst in enumerate(circuit)
+            if getattr(inst.operation, "is_parametric_gate", False)
+        ]
         #: Per-namespace cache of device-resident operator tensors (see
         #: :meth:`device_tensors` and :meth:`kraus_stacks`); contexts are
         #: reusable across devices.
@@ -187,28 +188,24 @@ class _TrajectoryContext:
             self._prepare_tn(engine, circuit, input_state, output_state)
 
     # -- TN template -----------------------------------------------------
-    def _build_template(
+    def _prepare_tn(
         self,
         engine: "BatchedTrajectoryEngine",
         circuit: Circuit,
         input_state: StateLike,
         output_state: StateLike,
-    ):
-        """Build the trajectory amplitude network for ``circuit``.
+    ) -> None:
+        """Plan the trajectory amplitude network and specialize it.
 
-        Returns ``(template, template_tensors, noise_positions)``.  Shared by
-        the initial preparation and :meth:`rebound`, which rebuilds only the
-        tensors (same topology, different gate values) for a new binding.
+        Noise positions are the batched inputs (one sampled Kraus tensor per
+        trajectory); parametric gate positions are bound inputs (one value
+        per binding).  The network itself is dropped once planned.
         """
         n = circuit.num_qubits
-        operations: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-        noise_meta: List[Tuple[int, object]] = []  # (op index, instruction)
-        for inst in circuit:
-            if inst.is_gate:
-                operations.append((inst.operation.matrix, inst.qubits))
-            else:
-                noise_meta.append((len(operations), inst))
-                operations.append((inst.operation.kraus_operators[0], inst.qubits))
+        operations = [
+            (inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0], inst.qubits)
+            for inst in circuit
+        ]
         template = operator_amplitude_network(
             n,
             operations,
@@ -217,38 +214,18 @@ class _TrajectoryContext:
             name="trajectory_template",
             max_intermediate_size=engine.max_intermediate_size,
         )
-        # Boundary nodes precede the op nodes in insertion order: one node per
-        # qubit for product states, a single node for a dense state.
-        resolved_in = resolve_product_state(input_state, n)
-        input_nodes = n if isinstance(resolved_in, list) else 1
-        template_tensors = [node.tensor for node in template.nodes]
-        noise_positions = [
-            (input_nodes + op_index, inst) for op_index, inst in noise_meta
+        layout = instruction_nodes(circuit, input_state)
+        self.noise_positions = [
+            (layout[index][0], inst) for index, inst in enumerate(circuit) if inst.is_noise
         ]
-        return template, template_tensors, noise_positions
-
-    def _prepare_tn(
-        self,
-        engine: "BatchedTrajectoryEngine",
-        circuit: Circuit,
-        input_state: StateLike,
-        output_state: StateLike,
-    ) -> None:
-        template, self.template_tensors, self.noise_positions = self._build_template(
-            engine, circuit, input_state, output_state
-        )
-        self.plan, _ = ContractionPlan.record(template)
+        self.gate_positions = [layout[index][0] for index in self.gate_indices]
         # Partial evaluation over the static tensors: batched replays touch
         # only the contractions downstream of a sampled Kraus tensor (values
         # are bit-identical to a full replay; the static prefix is paid once).
-        # Noiseless circuits take the single-replay short circuit instead.
-        self.specialized = (
-            self.plan.specialize(
-                self.template_tensors,
-                [position for position, _ in self.noise_positions],
-            )
-            if self.noise_positions
-            else None
+        self.specialized = ContractionPlan.for_network(template).specialize(
+            [node.tensor for node in template.nodes],
+            [position for position, _ in self.noise_positions],
+            self.gate_positions,
         )
         self._derive_kraus_distributions()
 
@@ -268,51 +245,30 @@ class _TrajectoryContext:
             self.q_cdfs.append(cdf)
 
     # -- bind slot -------------------------------------------------------
-    def rebound(self, circuit: Circuit) -> "_TrajectoryContext":
-        """Return this context re-targeted at another binding of its structure.
+    def bind(self, circuit: Circuit) -> "_TrajectoryContext":
+        """This context with the gate values of ``circuit``, a binding of its structure.
 
-        ``circuit`` must be a binding of the parametric structure this
-        context was prepared from (same instruction sequence; only gate
-        *values* differ).  All value-independent products are shared with the
-        parent: the recorded :class:`ContractionPlan` (the greedy ordering
-        inspects tensor sizes, never entries), the Kraus sampling
-        distributions (noise channels carry no parameters) and the boundary
-        states.  Only the value-dependent pieces are rebuilt — the TN
-        template tensors plus their static-prefix specialization, or, for the
-        statevector path, the per-device gate-tensor cache (invalidated, and
-        repopulated lazily from the bound circuit's matrices).
+        Everything value-independent is shared: the specialized contraction
+        plan, the Kraus sampling distributions (noise channels carry no
+        parameters) and the boundary states.  The TN path binds the gate
+        tensors into its plan, evaluating only the steps that depend on them;
+        the statevector path re-reads its gate tensors from ``circuit``.  A
+        context without parametric gates is returned as is; any other context
+        runs only once bound, also to the circuit it was prepared from.
         """
-        if not self.parametric:
-            raise ValueError("rebound() requires a context prepared from a parametric circuit")
-        bound = object.__new__(_TrajectoryContext)
+        if not self.gate_indices:
+            return self
+        bound = copy.copy(self)
         bound.circuit = circuit
-        bound.num_qubits = self.num_qubits
-        bound.num_channels = self.num_channels
-        # The rebound context serves exactly one binding; marking it
-        # non-parametric keeps a second rebind from chaining off stale values.
-        bound.parametric = False
-        bound._engine = self._engine
-        bound._input_state = self._input_state
-        bound._output_state = self._output_state
-        bound._device_cache = {}
-        if self._engine.backend == "statevector":
-            bound.psi0 = self.psi0
-            bound.v = self.v
-            return bound
-        _, bound.template_tensors, bound.noise_positions = self._build_template(
-            self._engine, circuit, self._input_state, self._output_state
-        )
-        bound.plan = self.plan
-        bound.specialized = (
-            self.plan.specialize(
-                bound.template_tensors,
-                [position for position, _ in bound.noise_positions],
-            )
-            if bound.noise_positions
-            else None
-        )
-        bound.q_dists = self.q_dists
-        bound.q_cdfs = self.q_cdfs
+        if self._engine.backend == "tn":
+            bound.specialized = self.specialized.bind({
+                position: gate_tensor(circuit[index].operation.matrix)
+                for index, position in zip(self.gate_indices, self.gate_positions)
+            })
+        else:
+            # The statevector path caches gate tensors; the TN path's cache
+            # holds only the binding-independent Kraus stacks.
+            bound._device_cache = {}
         return bound
 
     # -- device residency (statevector path) -----------------------------
@@ -326,21 +282,11 @@ class _TrajectoryContext:
         """
         cached = self._device_cache.get(xp.name)
         if cached is None:
-            op_tensors = []
-            for inst in self.circuit:
-                k = len(inst.qubits)
-                if inst.is_gate:
-                    matrix = np.asarray(inst.operation.matrix, dtype=complex)
-                    op_tensors.append(xp.asarray(matrix.reshape([2] * (2 * k))))
-                else:
-                    op_tensors.append(
-                        [
-                            xp.asarray(
-                                np.asarray(op, dtype=complex).reshape([2] * (2 * k))
-                            )
-                            for op in inst.operation.kraus_operators
-                        ]
-                    )
+            op_tensors = [
+                xp.asarray(gate_tensor(inst.operation.matrix)) if inst.is_gate
+                else [xp.asarray(gate_tensor(op)) for op in inst.operation.kraus_operators]
+                for inst in self.circuit
+            ]
             cached = (xp.asarray(self.psi0), xp.asarray(self.v.conj()), op_tensors)
             self._device_cache[xp.name] = cached
         return cached
@@ -355,10 +301,7 @@ class _TrajectoryContext:
         cached = self._device_cache.get(key)
         if cached is None:
             cached = [
-                xp.asarray(np.stack([
-                    np.asarray(op, dtype=complex).reshape([2] * (2 * len(inst.qubits)))
-                    for op in inst.operation.kraus_operators
-                ]))
+                xp.asarray(np.stack([gate_tensor(op) for op in inst.operation.kraus_operators]))
                 for _, inst in self.noise_positions
             ]
             self._device_cache[key] = cached
@@ -399,11 +342,12 @@ class BatchedTrajectoryEngine:
         """Precompute the sample-independent state of a trajectory estimate.
 
         For the statevector engine this resolves the dense boundary states;
-        for the TN engine it builds the template amplitude network, records
-        its :class:`~repro.tensornetwork.plan.ContractionPlan` and derives the
-        state-independent Kraus sampling distributions.  The returned context
-        can be passed back to :meth:`estimate_fidelity` (``context=...``) any
-        number of times — values are identical to an uncontexted call, the
+        for the TN engine it plans the template amplitude network,
+        specializes the :class:`~repro.tensornetwork.plan.ContractionPlan`
+        and derives the state-independent Kraus sampling distributions.  The
+        returned context can be passed back to :meth:`estimate_fidelity`
+        (``context=...``) any number of times, also with other bindings of a
+        parametric circuit — values are identical to an uncontexted call, the
         one-time work is just not repeated.
         """
         n = circuit.num_qubits
@@ -435,9 +379,10 @@ class BatchedTrajectoryEngine:
         :class:`repro.sweeps.SweepRunner` grid — pay the pool start-up cost
         once instead of per call.  ``context`` optionally supplies the
         prepared per-circuit state from :meth:`prepare` (it must have been
-        prepared from the same engine configuration, circuit and boundary
-        states); the multi-process path ignores it, since each worker process
-        prepares its own.
+        prepared from the same engine configuration, circuit structure and
+        boundary states; a parametric circuit's gate values are read from
+        ``circuit``); the multi-process path ignores it, since each worker
+        process prepares its own.
 
         Example (noiseless GHZ, so the estimate is exact)::
 
@@ -466,17 +411,21 @@ class BatchedTrajectoryEngine:
             if keep_samples:
                 kept.append(values)
 
-        if circuit.noise_count() == 0:
+        noiseless = circuit.noise_count() == 0
+        # The pool's worker processes prepare their own contexts.
+        pooled = not noiseless and workers is not None and workers > 1
+        if not pooled:
+            if context is None:
+                context = _TrajectoryContext(self, circuit, input_state, output_state)
+            context = context.bind(circuit)
+
+        if noiseless:
             # Deterministic evolution: every trajectory yields the same value,
             # so compute one and broadcast (no RNG is consumed, matching the
             # per-sample loop which drew nothing for noiseless circuits).
-            if context is None:
-                context = _TrajectoryContext(self, circuit, input_state, output_state)
             value = self._run_uniforms(context, np.empty((1, 0)))[0]
             absorb(np.full(num_samples, value))
         elif workers is None:
-            if context is None:
-                context = _TrajectoryContext(self, circuit, input_state, output_state)
             generator = np.random.default_rng(rng)
             # One uniform per (sample, channel) in sample-major order: exactly
             # the stream consumption of the old per-sample loop.  Drawing slab
@@ -489,9 +438,7 @@ class BatchedTrajectoryEngine:
         else:
             seed = self._resolve_seed(rng)
             blocks = self._blocks(num_samples)
-            if workers <= 1:
-                if context is None:
-                    context = _TrajectoryContext(self, circuit, input_state, output_state)
+            if not pooled:
                 for block_index, block_samples in blocks:
                     absorb(self._run_block(context, seed, block_index, block_samples))
             else:
@@ -718,10 +665,9 @@ class BatchedTrajectoryEngine:
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
         num_samples = uniforms.shape[0]
         if context.num_channels == 0:
-            # Only reached via the noiseless short-circuit in estimate_fidelity.
-            # The template's own contraction was consumed by plan recording,
-            # so one replay gives the deterministic amplitude.
-            value = float(abs(context.plan.execute(list(context.template_tensors))) ** 2)
+            # Only reached via the noiseless short-circuit in estimate_fidelity:
+            # the specialized plan holds the deterministic amplitude.
+            value = float(abs(complex(context.specialized.execute({}, xp=self._xp)[0])) ** 2)
             return np.full(num_samples, value)
 
         # Draw all Kraus choices channel-by-channel (same uniforms as the
@@ -771,7 +717,7 @@ def _pool_worker(payload) -> List[np.ndarray]:
         max_batch_entries=max_batch_entries,
         device=device,
     )
-    context = _TrajectoryContext(engine, circuit, input_state, output_state)
+    context = _TrajectoryContext(engine, circuit, input_state, output_state).bind(circuit)
     return [
         engine._run_block(context, seed, block_index, block_samples)
         for block_index, block_samples in group

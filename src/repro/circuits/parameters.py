@@ -269,6 +269,12 @@ class ParameterExpression:
         return self.structure_key()
 
 
+#: Qubit count per successfully probed ``(factory, arity)``: the constructor
+#: builds a probe gate only the first time, since :func:`substitute` builds
+#: a new parametric gate per instruction on every binding.
+_PROBED_QUBITS: Dict[tuple, int] = {}
+
+
 class ParametricGate:
     """A gate factory applied to symbolic parameter slots.
 
@@ -312,14 +318,17 @@ class ParametricGate:
         )
         if not params:
             raise ValidationError(f"parametric gate {name!r} needs at least one parameter")
-        try:
-            probe = factory(*(0.0,) * len(params))
-        except TypeError as exc:
-            raise ValidationError(
-                f"gate {name!r} does not take {len(params)} parameter(s)"
-            ) from exc
+        num_qubits = _PROBED_QUBITS.get((factory, len(params)))
+        if num_qubits is None:
+            try:
+                probe = factory(*(0.0,) * len(params))
+            except TypeError as exc:
+                raise ValidationError(
+                    f"gate {name!r} does not take {len(params)} parameter(s)"
+                ) from exc
+            num_qubits = _PROBED_QUBITS[(factory, len(params))] = probe.num_qubits
         self.name = name
-        self.num_qubits = probe.num_qubits
+        self.num_qubits = num_qubits
         self._factory = factory
         self._params = params
         relevant = frozenset().union(*(p.parameters for p in params))

@@ -42,6 +42,7 @@ from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     dense_product_state,
+    instruction_nodes,
     resolve_product_state,
     substituted_split_networks,
 )
@@ -306,20 +307,13 @@ class ApproximateNoisySimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        # Recording consumes the networks, so snapshot the tensors first.
         upper_tensors = [node.tensor for node in upper.nodes]
         lower_tensors = [node.tensor for node in lower.nodes]
-        upper_plan, _ = ContractionPlan.record(upper, strategy=self.strategy)
-        lower_plan, _ = ContractionPlan.record(lower, strategy=self.strategy)
-        # Boundary input nodes precede the op nodes in insertion order (one
-        # node per qubit for product states, one for a dense state); operation
-        # i of the instruction list is therefore node input_nodes + i.
-        resolved_in = resolve_product_state(input_state, n)
-        input_nodes = n if isinstance(resolved_in, list) else 1
+        upper_plan = ContractionPlan.for_network(upper, strategy=self.strategy)
+        lower_plan = ContractionPlan.for_network(lower, strategy=self.strategy)
+        layout = instruction_nodes(circuit, input_state)
         noise_positions = tuple(
-            input_nodes + index
-            for index, inst in enumerate(circuit)
-            if inst.is_noise
+            layout[index][0] for index, inst in enumerate(circuit) if inst.is_noise
         )
         return PreparedApproximation(
             decompositions=tuple(decompositions),

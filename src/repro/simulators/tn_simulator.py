@@ -10,26 +10,26 @@ The contraction respects an optional intermediate-size budget; exceeding it
 raises :class:`~repro.tensornetwork.network.ContractionMemoryError`, which the
 benchmark harness reports as "MO" exactly like the paper's Table II.
 
-The replay hot path (:class:`PreparedFidelity`) dispatches its contractions
-through an :class:`repro.xp.ArrayNamespace` when the simulator is constructed
-with ``device=``: the recorded plan's tensors are transferred to the device
-once at prepare time and every :meth:`PreparedFidelity.execute` replays on
-the device.  Network *construction* and ordering search stay on the host.
+The replay hot path (:class:`PreparedFidelity`) dispatches its batched
+replay through an :class:`repro.xp.ArrayNamespace` when the simulator is
+constructed with ``device=``.  Network *construction*, the ordering search
+and the partial evaluation of a plan stay on the host.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.parameters import is_parametric
 from repro.tensornetwork.circuit_to_tn import (
     StateLike,
     circuit_amplitude_network,
+    gate_tensor,
+    instruction_nodes,
     noisy_doubled_network,
     noisy_observable_network,
 )
-from repro.tensornetwork.plan import ContractionPlan
+from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
 
@@ -39,103 +39,50 @@ __all__ = ["PreparedFidelity", "TNSimulator"]
 
 
 class PreparedFidelity:
-    """A recorded fidelity contraction, replayable without re-planning.
+    """A planned fidelity contraction, evaluated without re-planning.
 
     Produced by :meth:`TNSimulator.prepare`: the network construction and the
-    greedy contraction-ordering search are paid once; :meth:`execute` replays
-    the recorded schedule (the same pairwise ``tensordot`` sequence the live
-    contraction performed, so the value is bit-identical to
-    :meth:`TNSimulator.fidelity`).  Recording the plan contracts the template
-    once, and that value *is* this configuration's fidelity (the tensors
-    never change), so the first :meth:`execute` returns it directly instead
-    of replaying — a one-shot compile-and-run pays exactly one contraction,
-    like the unprepared path.
+    contraction-ordering search are paid once, and the plan is specialized
+    over every tensor that cannot change (see
+    :meth:`repro.tensornetwork.plan.ContractionPlan.specialize`).  For a
+    circuit without parametric gates that evaluates the whole contraction at
+    prepare time, so :meth:`execute` only returns the value.
 
-    A plan prepared from a *parametric* circuit (``rebuild`` given) is a
-    value-free template shared by every binding of that structure: the
-    recorded schedule depends only on tensor shapes (the greedy ordering
-    inspects sizes, never entries), so :meth:`execute_bound` rebuilds the
-    network tensors from the actual bound circuit — construction cost only,
-    no ordering search — and replays the shared schedule.  Such a plan never
-    serves a recorded value (it would belong to whichever binding recorded
-    it) and its :meth:`execute` raises: callers must say which binding to
-    evaluate.
+    The positions of parametric gates are *bound* inputs of the specialized
+    plan: the schedule depends only on tensor shapes (the planner inspects
+    sizes, never entries), so one prepared plan serves every binding of the
+    structure.  :meth:`execute` reads those gates' tensors from the circuit
+    being run and replays only the steps that depend on them — no network
+    build, no ordering search.
     """
 
-    __slots__ = (
-        "plan",
-        "tensors",
-        "noiseless",
-        "parametric",
-        "_rebuild",
-        "_recorded_value",
-        "_xp",
-        "_device_tensors",
-    )
+    __slots__ = ("plan", "specialized", "noiseless", "_gates", "_xp")
 
     def __init__(
         self,
         plan: ContractionPlan,
-        tensors: List[np.ndarray],
+        specialized: SpecializedPlan,
         noiseless: bool,
-        recorded_value: float | None = None,
+        gates: List[Tuple[int, int, bool]],
         xp=None,
-        rebuild=None,
     ) -> None:
         self.plan = plan
-        self.tensors = tensors
+        self.specialized = specialized
         self.noiseless = noiseless
-        #: True when this plan is a bind-slot template (see class docs).
-        self.parametric = rebuild is not None
-        self._rebuild = rebuild
-        self._recorded_value = None if self.parametric else recorded_value
-        #: Replay namespace (None = host numpy); device copies are lazy.
+        #: ``(instruction index, node position, conjugated)`` per parametric
+        #: gate node of the network.
+        self._gates = gates
+        #: Replay namespace (None = host numpy).
         self._xp = xp
-        self._device_tensors = None
 
-    def _replay_tensors(self) -> List:
-        if self._xp is None or self._xp.device == "cpu":
-            return list(self.tensors)
-        if self._device_tensors is None:
-            # One-time host -> device transfer, reused by every replay.
-            self._device_tensors = [self._xp.asarray(tensor) for tensor in self.tensors]
-        return list(self._device_tensors)
-
-    def execute(self) -> float:
-        """Return the fidelity (recorded value first, plan replay after)."""
-        if self.parametric:
-            raise ValueError(
-                "a parametric plan has no values of its own; use "
-                "execute_bound(circuit) with a bound circuit"
-            )
-        recorded = self._recorded_value
-        if recorded is not None:
-            # Consumed once; a concurrent reader racing the clear would just
-            # return the identical value, so no lock is needed.
-            self._recorded_value = None
-            return recorded
-        value = self.plan.execute(self._replay_tensors(), xp=self._xp)
-        if self.noiseless:
-            return float(abs(value) ** 2)
-        return float(np.real(value))
-
-    def execute_bound(self, circuit: Circuit) -> float:
-        """Replay the recorded schedule on tensors rebuilt from ``circuit``.
-
-        ``circuit`` must be a binding of the structure this plan was prepared
-        from: the rebuilt network then has the same topology and node order
-        as the recording template, so the schedule replays exactly — only
-        the tensor *values* differ.  Pays network construction (O(nodes)),
-        never an ordering search.
-        """
-        if not self.parametric:
-            raise ValueError("execute_bound() requires a plan prepared from a parametric circuit")
-        tensors = self._rebuild(circuit)
-        if self._xp is not None and self._xp.device != "cpu":
-            # Per-binding transfer: the tensors change with every binding, so
-            # there is no stable device copy to cache.
-            tensors = [self._xp.asarray(tensor) for tensor in tensors]
-        value = self.plan.execute(list(tensors), xp=self._xp)
+    def execute(self, circuit: Circuit) -> float:
+        """Return the fidelity of ``circuit``, a binding of the prepared structure."""
+        matrices = {index: circuit[index].operation.matrix for index, _, _ in self._gates}
+        plan = self.specialized.bind({
+            position: gate_tensor(matrices[index].conj() if conjugated else matrices[index])
+            for index, position, conjugated in self._gates
+        })
+        value = complex(plan.execute({}, xp=self._xp)[0])
         if self.noiseless:
             return float(abs(value) ** 2)
         return float(np.real(value))
@@ -144,7 +91,7 @@ class PreparedFidelity:
         """Plan-cost summary (node count, steps, peak intermediate size)."""
         return {
             "noiseless": self.noiseless,
-            "parametric": self.parametric,
+            "parametric": bool(self._gates),
             **self.plan.describe(),
         }
 
@@ -194,20 +141,7 @@ class TNSimulator:
         ``input_state`` and ``output_state`` default to ``|0…0⟩``.  Both may
         be bitstrings, per-qubit product factors or dense vectors.
         """
-        n = circuit.num_qubits
-        input_state = "0" * n if input_state is None else input_state
-        output_state = "0" * n if output_state is None else output_state
-        if circuit.is_noiseless():
-            amp = self.amplitude(circuit, input_state, output_state)
-            return float(abs(amp) ** 2)
-        network = noisy_doubled_network(
-            circuit,
-            input_state,
-            output_state,
-            max_intermediate_size=self.max_intermediate_size,
-        )
-        value = network.contract_to_scalar(strategy=self.strategy)
-        return float(np.real(value))
+        return self.prepare(circuit, input_state, output_state).execute(circuit)
 
     def prepare(
         self,
@@ -215,11 +149,11 @@ class TNSimulator:
         input_state: StateLike = None,
         output_state: StateLike = None,
     ) -> PreparedFidelity:
-        """Record a reusable contraction plan for this fidelity evaluation.
+        """Plan this fidelity evaluation once, for every binding of ``circuit``.
 
-        Builds the same network :meth:`fidelity` would and contracts it once
-        while recording the schedule (see
-        :class:`repro.tensornetwork.plan.ContractionPlan`), so repeated
+        Builds the same network :meth:`fidelity` would, plans its contraction
+        and specializes the plan over every tensor but the parametric gates'
+        (see :class:`repro.tensornetwork.plan.ContractionPlan`), so repeated
         evaluations of the same circuit/boundary configuration skip the
         network construction and ordering search entirely.
         """
@@ -227,41 +161,23 @@ class TNSimulator:
         input_state = "0" * n if input_state is None else input_state
         output_state = "0" * n if output_state is None else output_state
         noiseless = circuit.is_noiseless()
-
-        def build_network(target: Circuit):
-            if noiseless:
-                return circuit_amplitude_network(
-                    target,
-                    input_state,
-                    output_state,
-                    max_intermediate_size=self.max_intermediate_size,
-                )
-            return noisy_doubled_network(
-                target,
-                input_state,
-                output_state,
-                max_intermediate_size=self.max_intermediate_size,
-            )
-
-        network = build_network(circuit)
-        # Recording consumes the network, so snapshot the tensors first.
-        tensors = [node.tensor for node in network.nodes]
-        plan, value = ContractionPlan.record(network, strategy=self.strategy)
-        if is_parametric(circuit):
-            # Bind-slot template: the schedule is shared by every binding of
-            # this structure, the values are not — execute_bound() rebuilds
-            # the tensors from the bound circuit actually being run.
-            return PreparedFidelity(
-                plan,
-                tensors,
-                noiseless,
-                xp=self._xp,
-                rebuild=lambda target: [
-                    node.tensor for node in build_network(target).nodes
-                ],
-            )
-        recorded = float(abs(value) ** 2) if noiseless else float(np.real(value))
-        return PreparedFidelity(plan, tensors, noiseless, recorded_value=recorded, xp=self._xp)
+        build = circuit_amplitude_network if noiseless else noisy_doubled_network
+        network = build(
+            circuit, input_state, output_state, max_intermediate_size=self.max_intermediate_size
+        )
+        plan = ContractionPlan.for_network(network, strategy=self.strategy)
+        # The doubled diagram's second node of a gate is its U*.
+        layout = instruction_nodes(circuit, input_state, doubled=not noiseless)
+        gates = [
+            (index, position, conjugated)
+            for index, inst in enumerate(circuit)
+            if getattr(inst.operation, "is_parametric_gate", False)
+            for position, conjugated in zip(layout[index], (False, True))
+        ]
+        specialized = plan.specialize(
+            [node.tensor for node in network.nodes], [], [position for _, position, _ in gates]
+        )
+        return PreparedFidelity(plan, specialized, noiseless, gates, xp=self._xp)
 
     def expectation(
         self,

@@ -2,13 +2,14 @@
 
 Replaces the Google TensorNetwork dependency used by the paper's reference
 implementation: nodes wrapping dense numpy tensors, edges, pairwise
-contraction with a configurable intermediate-size budget, greedy contraction
-ordering, and builders that turn circuits into the diagrams of Sections III
+contraction with a configurable intermediate-size budget, one contraction
+planner, and builders that turn circuits into the diagrams of Sections III
 and IV of the paper.
 """
 
 from repro.tensornetwork.circuit_to_tn import (
     circuit_amplitude_network,
+    instruction_nodes,
     noisy_doubled_network,
     noisy_observable_network,
     operator_amplitude_network,
@@ -18,12 +19,7 @@ from repro.tensornetwork.circuit_to_tn import (
 from repro.tensornetwork.network import ContractionMemoryError, TensorNetwork, contract_nodes
 from repro.tensornetwork.node import Edge, Node, connect
 from repro.tensornetwork.plan import ContractionPlan
-from repro.tensornetwork.ordering import (
-    contract_greedy,
-    contract_sequential,
-    estimate_contraction_cost,
-    plan_greedy,
-)
+from repro.tensornetwork.ordering import contract_greedy, estimate_contraction_cost
 
 __all__ = [
     "TensorNetwork",
@@ -34,10 +30,9 @@ __all__ = [
     "Edge",
     "connect",
     "contract_greedy",
-    "contract_sequential",
-    "plan_greedy",
     "estimate_contraction_cost",
     "circuit_amplitude_network",
+    "instruction_nodes",
     "noisy_doubled_network",
     "noisy_observable_network",
     "operator_amplitude_network",

@@ -36,6 +36,8 @@ __all__ = [
     "StateLike",
     "resolve_product_state",
     "dense_product_state",
+    "gate_tensor",
+    "instruction_nodes",
     "operator_amplitude_network",
     "circuit_amplitude_network",
     "noisy_doubled_network",
@@ -91,6 +93,43 @@ def dense_product_state(state: StateLike, num_qubits: int) -> np.ndarray:
     return resolved
 
 
+def gate_tensor(matrix: np.ndarray) -> np.ndarray:
+    """The node tensor of a ``2**k × 2**k`` operator: one axis per qubit, outputs first."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return matrix.reshape([2] * (2 * (matrix.shape[0].bit_length() - 1)))
+
+
+def instruction_nodes(
+    circuit: Circuit, input_state: StateLike, doubled: bool = False
+) -> List[Tuple[int, ...]]:
+    """Node positions of each instruction's op nodes, in circuit order.
+
+    Follows the node order of the builders here: the input boundary comes
+    first (one node per rail for a product state, one node for a dense
+    state), then the op nodes in application order.  Single-size networks
+    (:func:`circuit_amplitude_network`, either half of
+    :func:`substituted_split_networks`, or :func:`operator_amplitude_network`
+    with one operation per instruction) give every instruction one node;
+    :func:`noisy_doubled_network` (``doubled=True``) gives a gate two, ``U``
+    then ``U*``, and a noise channel one.
+
+    >>> from repro.circuits.library import ghz_circuit
+    >>> instruction_nodes(ghz_circuit(2), "00")
+    [(2,), (3,)]
+    >>> instruction_nodes(ghz_circuit(2), "00", doubled=True)
+    [(4, 5), (6, 7)]
+    """
+    n = circuit.num_qubits
+    rails = 2 * n if doubled else n
+    position = rails if isinstance(resolve_product_state(input_state, n), list) else 1
+    layout = []
+    for inst in circuit:
+        width = 2 if doubled and inst.is_gate else 1
+        layout.append(tuple(range(position, position + width)))
+        position += width
+    return layout
+
+
 def _add_boundary(
     network: TensorNetwork,
     state: StateLike,
@@ -133,15 +172,15 @@ def operator_amplitude_network(
     for op_index, (matrix, qubits) in enumerate(operations):
         qubits = [int(q) for q in qubits]
         k = len(qubits)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2**k, 2**k):
+        shape = np.shape(matrix)
+        if shape != (2**k, 2**k):
             raise ValidationError(
-                f"operation {op_index} has shape {matrix.shape}, expected {(2**k, 2**k)}"
+                f"operation {op_index} has shape {shape}, expected {(2**k, 2**k)}"
             )
         for q in qubits:
             if not 0 <= q < num_qubits:
                 raise ValidationError(f"operation {op_index} touches invalid qubit {q}")
-        node = network.add_node(matrix.reshape([2] * (2 * k)), name=f"op{op_index}")
+        node = network.add_node(gate_tensor(matrix), name=f"op{op_index}")
         for j, qubit in enumerate(qubits):
             network.connect(node.edges[k + j], open_edges[qubit])
             open_edges[qubit] = node.edges[j]
@@ -258,9 +297,7 @@ def noisy_observable_network(
             matrices = [(inst.operation.matrix_representation(), qubits + mirrored)]
         for matrix, target_qubits in matrices:
             k = len(target_qubits)
-            node = network.add_node(
-                np.asarray(matrix, dtype=complex).reshape([2] * (2 * k)), name=f"op{op_index}"
-            )
+            node = network.add_node(gate_tensor(matrix), name=f"op{op_index}")
             op_index += 1
             for j, qubit in enumerate(target_qubits):
                 network.connect(node.edges[k + j], open_edges[qubit])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.tensornetwork.node import Edge, Node, connect
 from repro.utils.validation import ValidationError
@@ -64,9 +64,8 @@ def contract_nodes(node_a: Node, node_b: Node, name: str | None = None) -> Node:
 class TensorNetwork:
     """A collection of nodes with shared edges.
 
-    The network owns its nodes; :meth:`contract` destroys the node structure
-    (it repeatedly merges nodes), so build a fresh network per evaluation —
-    which is what all simulator front-ends in this library do.
+    :meth:`contract` plans the contraction on the network's structure and
+    replays it over the node tensors; the network itself is left untouched.
     """
 
     def __init__(self, name: str = "network", max_intermediate_size: int | None = None) -> None:
@@ -75,10 +74,6 @@ class TensorNetwork:
         #: Maximum number of entries allowed in any intermediate tensor.  None
         #: disables the check.
         self.max_intermediate_size = max_intermediate_size
-        #: Optional callback ``observer(network, node_a, node_b)`` invoked
-        #: before every pairwise contraction; used by
-        #: :class:`repro.tensornetwork.plan.ContractionPlan` to record schedules.
-        self.observer = None
 
     # ------------------------------------------------------------------
     def add_node(self, tensor: np.ndarray, name: str | None = None) -> Node:
@@ -114,31 +109,6 @@ class TensorNetwork:
         return sum(node.size for node in self.nodes)
 
     # ------------------------------------------------------------------
-    def _check_budget(self, size: int) -> None:
-        if self.max_intermediate_size is not None and size > self.max_intermediate_size:
-            raise ContractionMemoryError(
-                f"intermediate tensor with {size} entries exceeds the budget of "
-                f"{self.max_intermediate_size} entries"
-            )
-
-    def contract_pair(self, node_a: Node, node_b: Node) -> Node:
-        """Contract two member nodes and replace them with the result."""
-        if node_a not in self.nodes or node_b not in self.nodes:
-            raise ValidationError("both nodes must belong to this network")
-        if self.observer is not None:
-            self.observer(self, node_a, node_b)
-        shared_dim = 1
-        for edge in node_a.edges:
-            if not edge.is_dangling and edge.other(node_a) is node_b:
-                shared_dim *= edge.dimension
-        result_size = (node_a.size // shared_dim) * (node_b.size // shared_dim)
-        self._check_budget(result_size)
-        result = contract_nodes(node_a, node_b)
-        self.nodes.remove(node_a)
-        self.nodes.remove(node_b)
-        self.nodes.append(result)
-        return result
-
     def contract(
         self,
         strategy: str = "greedy",
@@ -149,40 +119,33 @@ class TensorNetwork:
         Parameters
         ----------
         strategy:
-            ``"greedy"`` (default) or ``"sequential"``, one of the heuristics
-            in :mod:`repro.tensornetwork.ordering`.
+            ``"greedy"`` (default) or ``"sequential"``, the pick rules of
+            :func:`repro.tensornetwork.ordering.contract_greedy`.
         output_edge_order:
             Optional ordering of the remaining dangling edges for the final
             transpose.
+
+        Raises :class:`ContractionMemoryError` before any contraction when
+        the planned peak exceeds ``max_intermediate_size``.
         """
-        from repro.tensornetwork import ordering as ordering_mod
+        from repro.tensornetwork.plan import ContractionPlan
 
         if not self.nodes:
             raise ValidationError("cannot contract an empty network")
-
-        if strategy == "greedy":
-            ordering_mod.contract_greedy(self)
-        elif strategy == "sequential":
-            ordering_mod.contract_sequential(self)
-        else:
-            raise ValidationError(f"unknown contraction strategy {strategy!r}")
-
-        # Combine any disconnected components with outer products.
-        while len(self.nodes) > 1:
-            node_a, node_b = self.nodes[0], self.nodes[1]
-            self.contract_pair(node_a, node_b)
-
-        final = self.nodes[0]
-        if output_edge_order is not None:
-            if len(output_edge_order) != final.rank:
-                raise ValidationError(
-                    "output_edge_order must list every remaining dangling edge"
-                )
-            perm = [final.edges.index(edge) for edge in output_edge_order]
-            tensor = np.transpose(final.tensor, perm)
-        else:
-            tensor = final.tensor
-        return tensor
+        plan = ContractionPlan.for_network(self, strategy)
+        tensor = plan.replay([node.tensor for node in self.nodes])
+        if output_edge_order is None:
+            return tensor
+        # The final axes follow the same list evolution as the tensors.
+        legs = [list(node.edges) for node in self.nodes]
+        for position_a, position_b, axes_a, axes_b in plan.steps:
+            merged = [edge for axis, edge in enumerate(legs[position_a]) if axis not in axes_a]
+            merged += [edge for axis, edge in enumerate(legs[position_b]) if axis not in axes_b]
+            del legs[max(position_a, position_b)], legs[min(position_a, position_b)]
+            legs.append(merged)
+        if len(output_edge_order) != len(legs[0]):
+            raise ValidationError("output_edge_order must list every remaining dangling edge")
+        return np.transpose(tensor, [legs[0].index(edge) for edge in output_edge_order])
 
     def contract_to_scalar(self, strategy: str = "greedy") -> complex:
         """Contract a network with no dangling edges to a complex number."""

@@ -1,148 +1,183 @@
-"""Contraction-order heuristics.
+"""The contraction planner.
 
 The efficiency of tensor-network simulation is dominated by the order in
 which nodes are contracted (the paper notes this for its TN-based baseline).
-Three strategies are provided:
+Every contraction in the library is planned by :func:`contract_greedy` and
+then replayed as a flat sequence of ``tensordot`` calls
+(:class:`repro.tensornetwork.plan.ContractionPlan`).  The planner works on
+integers only — each node is the tuple of its edge ids, each edge id has a
+dimension — so planning never touches a tensor entry.  Two pick rules share
+it:
 
-* ``contract_greedy`` — repeatedly contract the connected pair whose result
-  tensor is smallest (ties broken by the largest immediate size reduction).
-  This is the default everywhere and is the same flavour of heuristic the
+* ``"greedy"`` (the default everywhere) — repeatedly contract the connected
+  pair whose result tensor is smallest, ties broken by the largest immediate
+  size reduction, then by list order.  The same flavour of heuristic the
   Google TensorNetwork / opt_einsum "greedy" path uses.
-* ``contract_sequential`` — contract nodes in insertion order; cheap to plan
-  but can build huge intermediates.  Used as the ablation baseline.
-* ``plan_greedy`` — return the greedy plan (list of node pairs) without
-  executing it, for inspection and cost estimation.
+* ``"sequential"`` — contract the first node (in list order) that has a
+  neighbour with its first neighbour; can build huge intermediates and is
+  kept as the ablation baseline.
+
+Disconnected components are joined afterwards by outer products of the
+first two tensors in the list, and those steps count towards the peak.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import heapq
+from typing import Dict, List, Sequence, Tuple
 
 from repro.tensornetwork.network import TensorNetwork
-from repro.tensornetwork.node import Node
+from repro.utils.validation import ValidationError
 
 from repro.xp import declare_seam
-from repro.xp import host as np
 
 declare_seam(__name__, mode="host")
 
-__all__ = [
-    "contract_greedy",
-    "contract_sequential",
-    "plan_greedy",
-    "estimate_contraction_cost",
-]
+__all__ = ["contract_greedy", "estimate_contraction_cost"]
+
+#: One schedule step: positions of the two operands in the evolving tensor
+#: list (both are removed and the result is appended) plus the contracted
+#: axes of each (empty axes = outer product).
+Step = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
-def _pair_result_size(node_a: Node, node_b: Node) -> int:
-    """Size (entry count) of the tensor produced by contracting the pair."""
-    shared_dim = 1
-    for edge in node_a.edges:
-        if not edge.is_dangling and edge.other(node_a) is node_b:
-            shared_dim *= edge.dimension
-    return (node_a.size // shared_dim) * (node_b.size // shared_dim)
+def contract_greedy(network: TensorNetwork, strategy: str = "greedy") -> Tuple[List[Step], int]:
+    """Plan the contraction of ``network`` to one tensor; return ``(steps, peak)``.
 
+    ``peak`` is the entry count of the largest tensor a step produces.  The
+    network is left untouched.  A 3-node chain contracts its cheaper end
+    first, then the remaining pair (the result of a step is appended to the
+    list, so it sits at the last position)::
 
-def _connected_pairs(network: TensorNetwork) -> List[Tuple[Node, Node]]:
-    pairs: List[Tuple[Node, Node]] = []
-    seen: set[tuple[int, int]] = set()
-    for node in network.nodes:
-        for neighbour in node.neighbours():
-            key = (min(node.id, neighbour.id), max(node.id, neighbour.id))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((node, neighbour))
-    return pairs
-
-
-def contract_greedy(network: TensorNetwork) -> None:
-    """Contract all connected pairs using the greedy smallest-result heuristic."""
-    while True:
-        pairs = _connected_pairs(network)
-        if not pairs:
-            return
-        best = None
-        best_key = None
-        for node_a, node_b in pairs:
-            result_size = _pair_result_size(node_a, node_b)
-            reduction = node_a.size + node_b.size - result_size
-            key = (result_size, -reduction)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (node_a, node_b)
-        network.contract_pair(*best)
-
-
-def contract_sequential(network: TensorNetwork) -> None:
-    """Contract nodes in insertion order (ablation baseline)."""
-    while True:
-        target = None
-        for node in network.nodes:
-            neighbours = node.neighbours()
-            if neighbours:
-                target = (node, neighbours[0])
-                break
-        if target is None:
-            return
-        network.contract_pair(*target)
-
-
-def plan_greedy(network: TensorNetwork) -> List[Tuple[str, str, int]]:
-    """Return the greedy contraction plan as (name_a, name_b, result_size) triples.
-
-    The plan is computed on a simulated copy of the node sizes; the network is
-    left untouched.
+        >>> import numpy as np
+        >>> from repro.tensornetwork import TensorNetwork
+        >>> network = TensorNetwork()
+        >>> a = network.add_node(np.ones((2, 4)))
+        >>> b = network.add_node(np.ones((4, 3)))
+        >>> c = network.add_node(np.ones(3))
+        >>> _ = network.connect(a.edges[1], b.edges[0])
+        >>> _ = network.connect(b.edges[1], c.edges[0])
+        >>> steps, peak = contract_greedy(network)
+        >>> steps
+        [(1, 2, (1,), (0,)), (0, 1, (1,), (0,))]
+        >>> peak
+        4
     """
-    # Simulate with lightweight records: (id, name, size, {neighbour_id: shared_dim}).
-    sizes = {node.id: node.size for node in network.nodes}
-    names = {node.id: node.name for node in network.nodes}
-    adjacency: dict[int, dict[int, int]] = {node.id: {} for node in network.nodes}
-    for node in network.nodes:
-        for edge in node.connected_edges():
-            other = edge.other(node)
-            adjacency[node.id][other.id] = adjacency[node.id].get(other.id, 1) * edge.dimension
-
-    plan: List[Tuple[str, str, int]] = []
-    while True:
-        best = None
-        best_key = None
-        for a, neighbours in adjacency.items():
-            for b, shared in neighbours.items():
-                if a >= b:
-                    continue
-                result_size = (sizes[a] // shared) * (sizes[b] // shared)
-                reduction = sizes[a] + sizes[b] - result_size
-                key = (result_size, -reduction)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (a, b, result_size)
-        if best is None:
-            return plan
-        a, b, result_size = best
-        plan.append((names[a], names[b], result_size))
-        # Merge b into a.
-        merged_name = f"({names[a]}*{names[b]})"
-        new_neighbours: dict[int, int] = {}
-        for nid, dim in adjacency[a].items():
-            if nid != b:
-                new_neighbours[nid] = new_neighbours.get(nid, 1) * dim
-        for nid, dim in adjacency[b].items():
-            if nid != a:
-                new_neighbours[nid] = new_neighbours.get(nid, 1) * dim
-        for nid in list(adjacency):
-            adjacency[nid].pop(a, None)
-            adjacency[nid].pop(b, None)
-        del adjacency[b], sizes[b], names[b]
-        adjacency[a] = new_neighbours
-        for nid, dim in new_neighbours.items():
-            adjacency[nid][a] = dim
-        sizes[a] = result_size
-        names[a] = merged_name
+    if strategy not in ("greedy", "sequential"):
+        raise ValidationError(f"unknown contraction strategy {strategy!r}")
+    legs = [tuple(edge.id for edge in node.edges) for node in network.nodes]
+    dims = {edge.id: edge.dimension for node in network.nodes for edge in node.edges}
+    return _schedule(legs, dims, strategy == "greedy")
 
 
 def estimate_contraction_cost(network: TensorNetwork) -> int:
-    """Estimate the peak intermediate tensor size of the greedy plan."""
-    plan = plan_greedy(network)
-    if not plan:
+    """Peak intermediate entry count of the greedy contraction.
+
+    Equals :attr:`ContractionPlan.peak_intermediate_entries` of the same
+    plan; a single-node network reports its own size.
+    """
+    steps, peak = contract_greedy(network)
+    if not steps:
         return max((node.size for node in network.nodes), default=0)
-    return max(size for _, _, size in plan)
+    return peak
+
+
+def _schedule(
+    legs: Sequence[Tuple[int, ...]], dims: Dict[int, int], greedy: bool
+) -> Tuple[List[Step], int]:
+    """The planner proper, on edge-id tuples.
+
+    Nodes are numbered in creation order (inputs first, then one new number
+    per step), which is also their order in the evolving list.  A candidate
+    pair ``(x, y)`` with ``x`` earlier is keyed by its cost (greedy only),
+    then by ``x``'s number and the first axis of ``x`` leading to ``y`` —
+    the order in which a scan of the node list meets the pair — and sits in
+    a heap.  A merge kills every pair of its operands (skipped when popped)
+    and pushes the new node's pairs; no other pair's key changes.
+    """
+    alive: Dict[int, Tuple[int, ...]] = dict(enumerate(legs))
+    sizes = {node: _product(dims[label] for label in labels) for node, labels in alive.items()}
+    holders: Dict[int, List[int]] = {}
+    for node, labels in alive.items():
+        for label in labels:
+            holders.setdefault(label, []).append(node)
+    for label, owners in holders.items():
+        if len(owners) == 2 and owners[0] == owners[1]:
+            raise ValidationError("self-contraction (trace) is not supported")
+
+    heap: list = []
+
+    def push(x: int, y: int | None = None) -> None:
+        # Pairs of x with later nodes (all of them, or only y).
+        first_axis: Dict[int, int] = {}
+        shared: Dict[int, int] = {}
+        for axis, label in enumerate(alive[x]):
+            owners = holders[label]
+            if len(owners) < 2:
+                continue
+            other = owners[0] if owners[1] == x else owners[1]
+            if other < x or (y is not None and other != y):
+                continue
+            first_axis.setdefault(other, axis)
+            shared[other] = shared.get(other, 1) * dims[label]
+        for other, axis in first_axis.items():
+            result = (sizes[x] // shared[other]) * (sizes[other] // shared[other])
+            cost = (result, result - sizes[x] - sizes[other]) if greedy else (0, 0)
+            heapq.heappush(heap, (cost, x, axis, other, result))
+
+    for node in range(len(legs)):
+        push(node)
+
+    order = list(range(len(legs)))
+    steps: List[Step] = []
+
+    def merge(x: int, y: int) -> int:
+        # Record the step contracting x with y; return the new node's number.
+        legs_x, legs_y = alive.pop(x), alive.pop(y)
+        shared = set(legs_x) & set(legs_y)
+        contracted = [label for label in legs_x if label in shared]
+        position_x, position_y = order.index(x), order.index(y)
+        steps.append((
+            position_x,
+            position_y,
+            tuple(legs_x.index(label) for label in contracted),
+            tuple(legs_y.index(label) for label in contracted),
+        ))
+        del order[max(position_x, position_y)], order[min(position_x, position_y)]
+        merged = len(legs) + len(steps) - 1
+        order.append(merged)
+        alive[merged] = tuple(label for label in legs_x if label not in shared) + tuple(
+            label for label in legs_y if label not in shared
+        )
+        return merged
+
+    peak = 0
+    while heap:
+        _, x, _, y, result = heapq.heappop(heap)
+        if x not in alive or y not in alive:
+            continue
+        merged = merge(x, y)
+        sizes[merged] = result
+        peak = max(peak, result)
+        for label in alive[merged]:
+            owners = holders[label]
+            owners[owners.index(x) if x in owners else owners.index(y)] = merged
+        neighbours = {
+            owner for label in alive[merged] for owner in holders[label] if owner != merged
+        }
+        for other in neighbours:
+            push(other, merged)
+
+    while len(order) > 1:
+        x, y = order[0], order[1]
+        result = sizes[x] * sizes[y]
+        sizes[merge(x, y)] = result
+        peak = max(peak, result)
+    return steps, peak
+
+
+def _product(values) -> int:
+    result = 1
+    for value in values:
+        result *= int(value)
+    return result

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import Session, apply_noise, plan_cache_key
 from repro.backends import SimulationTask, get_backend
+from repro.backends.engine import BatchedTrajectoryEngine
 from repro.backends.registry import backend_names
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import hf_circuit, qaoa_circuit
@@ -24,6 +25,8 @@ from repro.circuits.parameters import (
     circuit_parameters,
     substitute,
 )
+from repro.tensornetwork import network as network_module
+from repro.tensornetwork import ordering
 from repro.utils.validation import ValidationError
 from repro.verify import generate_workloads, parametrize_circuit
 from repro.verify.oracles import stable_seed
@@ -110,6 +113,80 @@ class TestBindEquivalence:
             ]
         assert values[0] == values[2]
         assert values[0] != values[1]
+
+
+class TestBoundRunsSwapPlanInputs:
+    """A bound ``tn``/``trajectories_tn`` run swaps gate tensors into the compiled plan."""
+
+    @pytest.mark.parametrize("device", ["cpu", "fake_gpu"])
+    @pytest.mark.parametrize("backend", ["tn", "trajectories_tn"])
+    def test_no_network_build_or_ordering_search_after_compile(
+        self, noisy_parametric_qaoa, backend, device, monkeypatch
+    ):
+        kwargs = {} if backend == "tn" else {"samples": SAMPLES, "workers": 1}
+        with Session(device=device) as session:
+            executable = session.compile(
+                noisy_parametric_qaoa, backend=backend, seed=SEED, **kwargs
+            )
+            networks, searches = [], []
+            init, plan = network_module.TensorNetwork.__init__, ordering.contract_greedy
+
+            def counting_init(self, *args, **kw):
+                networks.append(1)
+                init(self, *args, **kw)
+
+            def counting_plan(*args, **kw):
+                searches.append(1)
+                return plan(*args, **kw)
+
+            monkeypatch.setattr(network_module.TensorNetwork, "__init__", counting_init)
+            monkeypatch.setattr(ordering, "contract_greedy", counting_plan)
+            values = [
+                executable.bind(_binding_for(noisy_parametric_qaoa, offset)).run().value
+                for offset in (0.0, 0.4)
+            ]
+            monkeypatch.undo()
+        assert networks == [] and searches == []
+        for offset, value in zip((0.0, 0.4), values):
+            binding = _binding_for(noisy_parametric_qaoa, offset)
+            with Session(plan_cache_size=0, device=device) as cold:
+                reference = cold.run(
+                    substitute(noisy_parametric_qaoa, binding), backend=backend,
+                    seed=SEED, **kwargs,
+                ).value
+            assert value == reference
+
+    def test_pooled_trajectories_tn_run_matches_one_worker(self, noisy_parametric_qaoa):
+        # Each pool worker prepares its own context, which must be bound too.
+        binding = _binding_for(noisy_parametric_qaoa)
+        values = []
+        for workers in (1, 2):
+            with Session(seed=5) as session:
+                executable = session.compile(
+                    noisy_parametric_qaoa, backend="trajectories_tn",
+                    samples=SAMPLES, seed=SEED, workers=workers,
+                )
+                values.append(executable.bind(binding).run().value)
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+    def test_contextless_engine_call_matches_compiled_context(
+        self, noisy_parametric_qaoa, noisy
+    ):
+        parametric = (
+            noisy_parametric_qaoa if noisy
+            else qaoa_circuit(4, seed=7, native_gates=False, parametric=True)
+        )
+        bound = substitute(parametric, _binding_for(parametric))
+        engine = BatchedTrajectoryEngine("tn")
+        # A context prepared from another binding of the same structure.
+        context = engine.prepare(substitute(parametric, _binding_for(parametric, 0.4)))
+        compiled = engine.estimate_fidelity(
+            bound, SAMPLES, rng=SEED, workers=1, context=context
+        ).estimate
+        for workers in (1, 2):
+            contextless = engine.estimate_fidelity(bound, SAMPLES, rng=SEED, workers=workers)
+            assert contextless.estimate == compiled
 
 
 class TestPlanCacheFragmentation:

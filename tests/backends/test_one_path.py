@@ -12,7 +12,7 @@ from repro.api import Session, apply_noise
 from repro.backends import SimulationTask, available_backends, get_backend
 from repro.circuits.library import ghz_circuit, qaoa_circuit
 from repro.circuits.parameters import circuit_parameters
-from repro.tensornetwork.network import TensorNetwork
+from repro.tensornetwork import ordering
 from repro.tensornetwork.plan import ContractionPlan
 
 
@@ -50,26 +50,26 @@ class TestOnePath:
 
 class TestParametricApproximationPlanning:
     def test_bound_run_plans_once_not_once_per_term(self, monkeypatch):
-        """A bound run of parametric ``ours`` records two plans, not two per term."""
+        """A bound run of parametric ``ours`` plans twice, not twice per term."""
         parametric = _noisy_qaoa(parametric=True)
         with Session() as session:
             executable = session.compile(parametric, backend="approximation", level=1)
             bound = executable.bind(dict.fromkeys(circuit_parameters(parametric), 0.3))
-            records, orderings = [], []
-            record, contract = ContractionPlan.record.__func__, TensorNetwork.contract
+            plans, orderings = [], []
+            for_network, plan = ContractionPlan.for_network.__func__, ordering.contract_greedy
 
-            def counting_record(cls, *args, **kwargs):
-                records.append(1)
-                return record(cls, *args, **kwargs)
+            def counting_for_network(cls, *args, **kwargs):
+                plans.append(1)
+                return for_network(cls, *args, **kwargs)
 
-            def counting_contract(self, *args, **kwargs):
+            def counting_plan(*args, **kwargs):
                 orderings.append(1)
-                return contract(self, *args, **kwargs)
+                return plan(*args, **kwargs)
 
-            monkeypatch.setattr(ContractionPlan, "record", classmethod(counting_record))
-            monkeypatch.setattr(TensorNetwork, "contract", counting_contract)
+            monkeypatch.setattr(ContractionPlan, "for_network", classmethod(counting_for_network))
+            monkeypatch.setattr(ordering, "contract_greedy", counting_plan)
             result = bound.run()
         # Level 1 over three depolarizing noises: 1 + 3 * 3 terms.
         assert result.num_contractions == 2 * 10
-        assert len(records) == 2
+        assert len(plans) == 2
         assert len(orderings) == 2

@@ -12,6 +12,7 @@ from repro.noise import NoiseModel, amplitude_damping_channel, depolarizing_chan
 from repro.simulators import DensityMatrixSimulator, StatevectorSimulator
 from repro.tensornetwork import (
     circuit_amplitude_network,
+    instruction_nodes,
     noisy_doubled_network,
     operator_amplitude_network,
     resolve_product_state,
@@ -171,3 +172,35 @@ class TestSplitNetworks:
         upper, lower = substituted_split_networks(noisy, identity_sub, "000", "111")
         product = upper.contract_to_scalar() * lower.contract_to_scalar()
         assert product.real == pytest.approx(0.5, abs=1e-10)
+
+
+class TestInstructionNodes:
+    """instruction_nodes points at the op nodes each builder adds per instruction."""
+
+    @pytest.mark.parametrize(
+        "state",
+        ["0+1", np.arange(1, 9) / np.linalg.norm(np.arange(1, 9))],
+        ids=["product", "dense"],
+    )
+    def test_positions_name_the_op_nodes(self, state):
+        ideal = random_circuit(3, 8, rng=5)
+        noisy = NoiseModel(depolarizing_channel(0.01), seed=2).insert_random(ideal, 3)
+        substitution = {
+            index: decompose_noise(inst.operation).terms[0]
+            for index, inst in enumerate(noisy.noise_instructions)
+        }
+        upper, lower = substituted_split_networks(noisy, substitution, state, "000")
+        built = [
+            (circuit_amplitude_network(ideal, state, "000"), ideal, False),
+            (noisy_doubled_network(noisy, state, "000"), noisy, True),
+            (upper, noisy, False),
+            (lower, noisy, False),
+        ]
+        for network, circuit, doubled in built:
+            positions = [
+                position
+                for nodes in instruction_nodes(circuit, state, doubled)
+                for position in nodes
+            ]
+            names = [network.nodes[position].name for position in positions]
+            assert names == [f"op{index}" for index in range(len(positions))]

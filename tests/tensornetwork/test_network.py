@@ -9,9 +9,9 @@ from repro.tensornetwork import (
     Node,
     TensorNetwork,
     connect,
+    contract_greedy,
     contract_nodes,
     estimate_contraction_cost,
-    plan_greedy,
 )
 from repro.utils.validation import ValidationError
 
@@ -172,17 +172,29 @@ class TestNetworkContraction:
         with pytest.raises(ContractionMemoryError):
             network.contract()
 
-    def test_plan_greedy_reports_sizes(self):
+    def test_planner_reports_steps_and_peak(self):
         network = self._chain_network([np.eye(2)] * 3)
-        plan = plan_greedy(network)
-        assert len(plan) == 2
-        assert all(size >= 1 for _, _, size in plan)
+        steps, peak = contract_greedy(network)
+        assert len(steps) == 2
+        assert peak >= 1
         # Planning must not modify the network.
         assert network.num_nodes == 3
 
     def test_estimate_contraction_cost(self):
         network = self._chain_network([np.eye(2)] * 3)
         assert estimate_contraction_cost(network) >= 4
+
+    def test_estimate_counts_the_outer_products_joining_components(self):
+        # Two unconnected 2-vectors: contracting them builds a 4-entry tensor.
+        network = TensorNetwork(max_intermediate_size=2)
+        network.add_node(np.ones(2))
+        network.add_node(np.ones(2))
+        assert estimate_contraction_cost(network) == 4
+        with pytest.raises(ContractionMemoryError):
+            network.contract()
+        network.max_intermediate_size = None
+        plan = ContractionPlan.for_network(network)
+        assert plan.peak_intermediate_entries == estimate_contraction_cost(network)
 
 
 class TestGreedyTieBreak:

@@ -149,6 +149,92 @@ class TestBatchedReplayOracle:
         assert np.array_equal(on_device, specialized.execute(stacks))
 
 
+class TestStaticSlots:
+    """Specialization keeps only the static tensors a later step reads."""
+
+    @staticmethod
+    def _read_slots(specialized):
+        reads = {specialized._result_slot}
+        for slot_a, slot_b, *_ in specialized._bind_steps + specialized._residual:
+            reads |= {slot_a, slot_b}
+        return reads
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_baked_slots_are_read_later(self, seed):
+        network, op_positions = _random_network(seed, idle_qubit=seed % 2 == 1)
+        plan, tensors = _recorded(network)
+        specialized = plan.specialize(tensors, op_positions[::3], op_positions[1::3])
+        assert set(specialized._baked) <= self._read_slots(specialized)
+        assert len(specialized._baked) < plan.num_inputs
+
+    def test_fully_static_plan_keeps_only_its_result(self):
+        network, _ = _random_network(9)
+        plan, tensors = _recorded(network)
+        specialized = plan.specialize(tensors, [])
+        assert list(specialized._baked) == [plan.num_inputs + plan.num_steps - 1]
+
+
+class TestBinding:
+    """Bound positions take one value per bind(); rows still equal a full replay."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_rows_equal_full_replay(self, seed):
+        network, op_positions = _random_network(seed, idle_qubit=seed % 2 == 1)
+        plan, tensors = _recorded(network)
+        variable, bound = op_positions[::3], op_positions[1::2]
+        specialized = plan.specialize(tensors, variable, bound)
+        values = {
+            position: stack[0]
+            for position, stack in _random_stacks(50 + seed, tensors, bound, rows=1).items()
+        }
+        stacks = _random_stacks(seed, tensors, variable, rows=6)
+        substituted = list(tensors)
+        for position, value in values.items():
+            substituted[position] = value
+        _assert_rows_equal(
+            specialized.bind(values).execute(stacks),
+            _oracle_rows(plan, substituted, stacks, 6),
+        )
+
+    def test_only_bound_positions(self):
+        network, op_positions = _random_network(11)
+        plan, tensors = _recorded(network)
+        specialized = plan.specialize(tensors, [], op_positions[:4])
+        values = {position: 2.0 * tensors[position] for position in op_positions[:4]}
+        substituted = [values.get(position, tensor) for position, tensor in enumerate(tensors)]
+        _assert_rows_equal(specialized.bind(values).execute({}), [plan.execute(substituted)])
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_bound_outer_products_join_components(self, seed):
+        # The idle qubit's boundary pair is a separate, static component, so
+        # binding ends in outer products of unbatched operands.
+        network, op_positions = _random_network(seed, idle_qubit=True)
+        plan, tensors = _recorded(network)
+        bound = op_positions[::2]
+        specialized = plan.specialize(tensors, [], bound)
+        values = {
+            position: stack[0]
+            for position, stack in _random_stacks(seed, tensors, bound, rows=1).items()
+        }
+        substituted = [values.get(position, tensor) for position, tensor in enumerate(tensors)]
+        _assert_rows_equal(specialized.bind(values).execute({}), [plan.execute(substituted)])
+
+    def test_plan_without_bound_positions_binds_to_itself(self):
+        network, op_positions = _random_network(12)
+        plan, tensors = _recorded(network)
+        specialized = plan.specialize(tensors, op_positions[:2])
+        assert specialized.bind({}) is specialized
+
+    def test_execute_before_bind_raises(self):
+        network, op_positions = _random_network(13)
+        plan, tensors = _recorded(network)
+        specialized = plan.specialize(tensors, [], op_positions[:2])
+        with pytest.raises(ValidationError, match="bind"):
+            specialized.execute({})
+        with pytest.raises(ValidationError, match="bound positions"):
+            specialized.bind({op_positions[0]: tensors[op_positions[0]]})
+
+
 class TestBatchedReplayValidation:
     def test_missing_substitution(self):
         network, op_positions = _random_network(7)
