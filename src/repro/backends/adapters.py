@@ -401,11 +401,9 @@ class ApproximationBackend(SimulationBackend):
         self,
         max_intermediate_size: int | None = 2**26,
         backend: str = "tn",
-        strategy: str = "greedy",
     ) -> None:
         self.max_intermediate_size = max_intermediate_size
         self.backend = backend
-        self.strategy = strategy
 
     def _simulator(self, task: SimulationTask) -> ApproximateNoisySimulator:
         return ApproximateNoisySimulator(
@@ -414,7 +412,6 @@ class ApproximationBackend(SimulationBackend):
             max_intermediate_size=task.options.get(
                 "max_intermediate_size", self.max_intermediate_size
             ),
-            strategy=task.options.get("strategy", self.strategy),
         )
 
     def _compile(self, circuit: Circuit, task: SimulationTask):
@@ -424,7 +421,7 @@ class ApproximationBackend(SimulationBackend):
             return None
         if is_parametric(circuit):
             # The approximation plan bakes gate tensors into its specialized
-            # split-network schedules, which would freeze one binding's values;
+            # split-network schedule, which would freeze one binding's values;
             # without a plan, fidelity() prepares the bound circuit being run.
             return None
         input_state, output_state = _default_states(circuit, task)

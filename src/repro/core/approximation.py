@@ -11,7 +11,8 @@ algorithm
    dominant term ``U_0 ⊗ V_0``;
 3. evaluates each substituted diagram as the product of two independent
    single-size tensor-network contractions (upper and lower half) and sums
-   the contributions.
+   the contributions.  The lower half is the conjugate of the upper network
+   with ``conj(V_i)`` for ``U_i``, so both halves are rows of one replay.
 
 The result ``A(l)`` approximates the fidelity ``⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`` with
 the Theorem-1 error bound; ``l = N`` recovers the exact value.
@@ -61,30 +62,29 @@ __all__ = [
 class PreparedApproximation:
     """One-time work of Algorithm 1, reusable across levels and repeat runs.
 
-    Every substituted term of the algorithm produces the *same* pair of
-    network topologies (only the inserted ``U_i``/``V_i`` tensor values
-    change), so the noise decompositions, the upper/lower template networks
-    and their recorded contraction schedules can be computed once — by
+    Every substituted term of the algorithm produces the *same* upper network
+    topology (only the inserted ``U_i`` tensor values change), and the lower
+    network is that network's complex conjugate with ``conj(V_i)`` inserted.
+    So the noise decompositions, the upper template network and its recorded
+    contraction schedule can be computed once — by
     :meth:`ApproximateNoisySimulator.prepare` — and replayed for a whole batch
-    of terms with the noise tensors swapped in.  The plans are
+    of both halves' terms with the noise tensors swapped in.  The plan is
     level-independent: one prepared object serves ``fidelity(..., level=l)``
     for every ``l``, but only for the circuit and boundary states it was
     prepared from (:meth:`check_matches`).
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
-    upper_plan: ContractionPlan
-    lower_plan: ContractionPlan
-    #: Partially evaluated plans: contractions not downstream of any noise
+    plan: ContractionPlan
+    #: Partially evaluated plan: contractions not downstream of any noise
     #: tensor are baked in, so each batch replays only the residual steps.
-    upper_specialized: SpecializedPlan
-    lower_specialized: SpecializedPlan
-    #: Node positions of the noise operations in both template networks.
+    specialized: SpecializedPlan
+    #: Node positions of the noise operations in the template network.
     noise_positions: Tuple[int, ...]
-    #: Per noise, its ``U_i`` (upper) and ``V_i`` (lower) tensors stacked along
-    #: a leading term axis, shaped like the noise's template node.
-    upper_terms: Tuple[np.ndarray, ...]
-    lower_terms: Tuple[np.ndarray, ...]
+    #: Per noise, its ``K`` terms' ``U_i`` and then their ``conj(V_i)``
+    #: stacked along a leading axis (``2K`` entries), shaped like the noise's
+    #: template node.
+    terms: Tuple[np.ndarray, ...]
     #: :meth:`Circuit.fingerprint` of the prepared circuit.
     fingerprint: str
     input_state: StateLike
@@ -112,14 +112,11 @@ class PreparedApproximation:
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
-        info = {
+        return {
             "num_noises": len(self.decompositions),
-            "upper": self.upper_plan.describe(),
-            "lower": self.lower_plan.describe(),
+            **self.plan.describe(),
+            "residual_steps": self.specialized.num_residual_steps,
         }
-        info["upper"]["residual_steps"] = self.upper_specialized.num_residual_steps
-        info["lower"]["residual_steps"] = self.lower_specialized.num_residual_steps
-        return info
 
 
 def _same_state(a: StateLike, b: StateLike, num_qubits: int) -> bool:
@@ -175,8 +172,8 @@ class ApproximationResult:
     level_contributions: Tuple[float, ...]
     max_noise_rate: float
     elapsed_seconds: float
-    #: Batched plan replays the run made (two per batch of terms — upper and
-    #: lower half; 0 with the dense ``"statevector"`` term backend).
+    #: Batched plan replays the run made (one per batch of terms, serving
+    #: both halves; 0 with the dense ``"statevector"`` term backend).
     replay_calls: int = 0
 
     @property
@@ -196,16 +193,14 @@ def _stacked_terms(
     decompositions: Sequence[NoiseTermDecomposition],
     noise_positions: Sequence[int],
     template_tensors: Sequence[np.ndarray],
-    half: int,
 ) -> Tuple[np.ndarray, ...]:
-    """Per noise, its terms' ``U_i`` (``half=0``) or ``V_i`` (``half=1``) stacked."""
-    return tuple(
-        np.stack([
-            np.asarray(term[half], dtype=complex).reshape(template_tensors[position].shape)
-            for term in decomposition.terms
-        ])
-        for decomposition, position in zip(decompositions, noise_positions)
-    )
+    """Per noise, its terms' ``U_i`` then their ``conj(V_i)``, stacked."""
+    stacks = []
+    for decomposition, position in zip(decompositions, noise_positions):
+        pairs = np.asarray(decomposition.terms, dtype=complex)
+        shape = (-1, *template_tensors[position].shape)
+        stacks.append(np.concatenate([pairs[:, 0], pairs[:, 1].conj()]).reshape(shape))
+    return tuple(stacks)
 
 
 class ApproximateNoisySimulator:
@@ -280,12 +275,12 @@ class ApproximateNoisySimulator:
         """Precompute the term-independent work of Algorithm 1 for ``circuit``.
 
         SVD-decomposes every noise channel and records the contraction
-        schedules of the dominant-term split networks; since every substituted
-        term shares those topologies, :meth:`fidelity` replays the schedules
-        once for a batch of all terms' noise tensors instead of building and
-        greedy-ordering two fresh networks per term.  Values are bit-identical
-        to contracting each term's own networks (the greedy heuristic decides
-        from tensor *shapes* only, which are the same for every term).
+        schedule of the dominant-term upper network; every substituted term's
+        two halves share its topology (:func:`substituted_split_networks`), so
+        :meth:`fidelity` replays it once for a batch of all terms' noise
+        tensors instead of building and greedy-ordering two fresh networks
+        per term.  Values are bit-identical to contracting each term's own
+        networks (the greedy heuristic decides from tensor *shapes* only).
         """
         if self.backend != "tn":
             raise ValidationError(
@@ -300,30 +295,25 @@ class ApproximateNoisySimulator:
             index: decomposition.terms[0]
             for index, decomposition in enumerate(decompositions)
         }
-        upper, lower = substituted_split_networks(
+        upper, _ = substituted_split_networks(
             circuit,
             dominant,
             input_state,
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        upper_tensors = [node.tensor for node in upper.nodes]
-        lower_tensors = [node.tensor for node in lower.nodes]
-        upper_plan = ContractionPlan.for_network(upper, strategy=self.strategy)
-        lower_plan = ContractionPlan.for_network(lower, strategy=self.strategy)
+        tensors = [node.tensor for node in upper.nodes]
+        plan = ContractionPlan.for_network(upper, strategy=self.strategy)
         layout = instruction_nodes(circuit, input_state)
         noise_positions = tuple(
             layout[index][0] for index, inst in enumerate(circuit) if inst.is_noise
         )
         return PreparedApproximation(
             decompositions=tuple(decompositions),
-            upper_plan=upper_plan,
-            lower_plan=lower_plan,
-            upper_specialized=upper_plan.specialize(upper_tensors, noise_positions),
-            lower_specialized=lower_plan.specialize(lower_tensors, noise_positions),
+            plan=plan,
+            specialized=plan.specialize(tensors, noise_positions),
             noise_positions=noise_positions,
-            upper_terms=_stacked_terms(decompositions, noise_positions, upper_tensors, 0),
-            lower_terms=_stacked_terms(decompositions, noise_positions, lower_tensors, 1),
+            terms=_stacked_terms(decompositions, noise_positions, tensors),
             fingerprint=circuit.fingerprint(),
             input_state=input_state,
             output_state=output_state,
@@ -341,10 +331,12 @@ class ApproximateNoisySimulator:
         The evaluator maps a ``(T, N)`` array of term-index rows (see
         :func:`term_indices`) to the ``T`` term values ``upper × lower`` and
         the number of batched plan replays it made.  With the ``"tn"`` term
-        backend the rows replay the plans of ``prepared`` — which must have
-        been prepared for this circuit and these boundary states, and are
-        recorded here when not given — in two batched calls; the
-        ``"statevector"`` backend applies each term's matrices densely.
+        backend the rows replay the plan of ``prepared`` — which must have
+        been prepared for this circuit and these boundary states, and is
+        recorded here when not given — in one batched call: ``T`` rows of
+        ``U_i`` give the upper halves, ``T`` rows of ``conj(V_i)`` the
+        conjugated lower ones.  The ``"statevector"`` backend applies each
+        term's matrices densely.
         """
         if prepared is not None:
             prepared.check_matches(circuit, input_state, output_state)
@@ -367,22 +359,27 @@ class ApproximateNoisySimulator:
 
             return decompositions, evaluate_dense
 
+        # A noise's conj(V_i) sits K entries after its U_i in its stack.
+        lower_offsets = np.array([d.num_terms for d in prepared.decompositions], dtype=np.intp)
+
         def evaluate(rows: np.ndarray) -> Tuple[List[complex], int]:
-            halves = []
-            for specialized, terms in (
-                (prepared.upper_specialized, prepared.upper_terms),
-                (prepared.lower_specialized, prepared.lower_terms),
-            ):
-                stacks = {
-                    position: terms[noise_index][rows[:, noise_index]]
+            both = np.concatenate([rows, rows + lower_offsets])
+            values = prepared.specialized.execute(
+                {
+                    position: prepared.terms[noise_index][both[:, noise_index]]
                     for noise_index, position in enumerate(prepared.noise_positions)
-                }
-                halves.append(specialized.execute(
-                    stacks, max_intermediate_size=self.max_intermediate_size
-                ).tolist())
-            # Python complex products: numpy's vectorised multiply may round
-            # differently from the scalar product of one term's two halves.
-            return [upper * lower for upper, lower in zip(*halves)], 2
+                },
+                max_intermediate_size=self.max_intermediate_size,
+            ).tolist()
+            # Without noises the plan has no variable input and returns its
+            # one row, which is then both halves.  Python complex products:
+            # numpy's vectorised multiply may round differently from the
+            # scalar product of one term's two halves.
+            count = len(rows)
+            return [
+                upper * lower.conjugate()
+                for upper, lower in zip(values[:count], values[len(values) - count:])
+            ], 1
 
         return list(prepared.decompositions), evaluate
 
@@ -434,11 +431,11 @@ class ApproximateNoisySimulator:
         ``input_state`` and ``output_state`` default to ``|0…0⟩`` as in the
         paper's Table II experiments.  The terms are enumerated as rows of
         term indices (:func:`term_indices`); with the ``"tn"`` term backend
-        all of them are evaluated by two batched replays of the plans recorded
-        by :meth:`prepare`.  ``prepared`` supplies those plans when already
-        recorded; it must come from the same circuit and boundary states
-        (:class:`ValidationError` otherwise).  Without it this call records
-        them.
+        both halves of all of them are evaluated by one batched replay of the
+        plan recorded by :meth:`prepare`.  ``prepared`` supplies that plan
+        when already recorded; it must come from the same circuit and
+        boundary states (:class:`ValidationError` otherwise).  Without it
+        this call records it.
         """
         start = time.perf_counter()
         level = self.level if level is None else int(level)

@@ -109,7 +109,6 @@ class PathTruncatedSimulator:
         max_paths: int = 64,
         backend: str = "statevector",
         max_intermediate_size: int | None = 2**26,
-        strategy: str = "greedy",
     ) -> None:
         if max_paths < 1:
             raise ValidationError("max_paths must be at least 1")
@@ -119,7 +118,6 @@ class PathTruncatedSimulator:
             level=0,
             backend=backend,
             max_intermediate_size=max_intermediate_size,
-            strategy=strategy,
         )
 
     def fidelity(

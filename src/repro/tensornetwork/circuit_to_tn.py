@@ -334,6 +334,11 @@ def substituted_split_networks(
     occurrence must be substituted — that is what makes the doubled diagram
     factorise into the upper network (⟨v| … U … |ψ⟩) and the lower network
     (⟨v*| … V … |ψ*⟩).
+
+    Node for node, the lower network is the conjugate of the upper one with
+    ``conj(V)`` in place of ``U``: its value is the conjugate of the upper
+    network's value under that substitution, which is how Algorithm 1
+    evaluates both halves with one recorded plan.
     """
     upper_ops: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
     lower_ops: List[Tuple[np.ndarray, Tuple[int, ...]]] = []

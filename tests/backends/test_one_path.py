@@ -50,7 +50,7 @@ class TestOnePath:
 
 class TestParametricApproximationPlanning:
     def test_bound_run_plans_once_not_once_per_term(self, monkeypatch):
-        """A bound run of parametric ``ours`` plans twice, not twice per term."""
+        """A bound run of parametric ``ours`` plans once, not once per term."""
         parametric = _noisy_qaoa(parametric=True)
         with Session() as session:
             executable = session.compile(parametric, backend="approximation", level=1)
@@ -71,5 +71,5 @@ class TestParametricApproximationPlanning:
             result = bound.run()
         # Level 1 over three depolarizing noises: 1 + 3 * 3 terms.
         assert result.num_contractions == 2 * 10
-        assert len(plans) == 2
-        assert len(orderings) == 2
+        assert len(plans) == 1
+        assert len(orderings) == 1

@@ -154,10 +154,10 @@ class TestResultMetadata:
         assert result.num_contractions and result.num_contractions > 0
 
     def test_approximation_result_counts_batched_replays(self, noisy_circuit):
-        # Every term of the run is served by one upper and one lower replay.
+        # Both halves of every term of the run are served by one replay.
         result = get_backend("approximation").run(noisy_circuit, SimulationTask(level=2))
         assert result.metadata["num_terms"] > 2
-        assert result.metadata["replay_calls"] == 2
+        assert result.metadata["replay_calls"] == 1
 
     def test_trajectory_result_carries_stderr(self, noisy_circuit):
         result = get_backend("trajectories").run(

@@ -195,6 +195,20 @@ class TestPreparedApproximation:
         noisy = _noisy(noises=8, p=0.01)
         result = ApproximateNoisySimulator(level=1).fidelity(noisy)
         assert result.num_terms == 25
-        assert result.replay_calls == 2
+        assert result.replay_calls == 1
         dense = ApproximateNoisySimulator(level=1, backend="statevector").fidelity(noisy)
         assert dense.replay_calls == 0
+
+    def test_describe_reports_one_plan(self):
+        noisy = _noisy(noises=3)
+        prepared = ApproximateNoisySimulator().prepare(noisy)
+        info = prepared.describe()
+        assert info == {
+            "num_noises": 3,
+            **prepared.plan.describe(),
+            "residual_steps": prepared.specialized.num_residual_steps,
+        }
+        assert 0 < info["residual_steps"] <= info["num_steps"]
+        # Per noise, its K upper terms and then its K conjugated lower terms.
+        for decomposition, stack in zip(prepared.decompositions, prepared.terms):
+            assert len(stack) == 2 * decomposition.num_terms

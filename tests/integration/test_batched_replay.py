@@ -1,11 +1,12 @@
 """Batched term replay is bit-identical to evaluating Algorithm 1 term by term.
 
-:meth:`ApproximateNoisySimulator.fidelity` evaluates all terms of a run in two
-batched plan replays.  The oracle here is the sequential definition: per
-term, the two substituted networks are built afresh and contracted by a full
-:meth:`ContractionPlan.execute` replay of the recorded schedules, and the
-products are summed per level and then into the total.  Values must agree
-with ``==``.
+:meth:`ApproximateNoisySimulator.fidelity` evaluates both halves of all terms
+of a run in one batched replay of the upper network's plan.  The oracle here
+is the sequential definition: per term, the two substituted networks are
+built afresh and each is contracted by a full :meth:`ContractionPlan.execute`
+replay of the recorded schedule over its own tensors — the lower half from
+the lower network, not through the conjugate identity — and the products are
+summed per level and then into the total.  Values must agree with ``==``.
 """
 
 import itertools
@@ -37,9 +38,9 @@ def _per_term_values(noisy, level):
                 for position, term_index in zip(positions, assignment):
                     substitution[position] = decompositions[position].terms[term_index]
                 upper, lower = substituted_split_networks(noisy, substitution, zeros, zeros)
-                contribution += prepared.upper_plan.execute(
+                contribution += prepared.plan.execute(
                     [node.tensor for node in upper.nodes]
-                ) * prepared.lower_plan.execute([node.tensor for node in lower.nodes])
+                ) * prepared.plan.execute([node.tensor for node in lower.nodes])
         contributions.append(float(np.real(contribution)))
         total += contribution
     return tuple(contributions), float(np.real(total))
@@ -81,13 +82,11 @@ class TestBatchedTermReplay:
         noisy = mixed_superconducting
         prepared = ApproximateNoisySimulator().prepare(noisy)
         # A budget of five terms' worth of the largest per-term tensor: the
-        # replays run in chunks of five rows and a shorter last chunk.
-        budget = 5 * max(
-            prepared.upper_specialized.peak_row_entries,
-            prepared.lower_specialized.peak_row_entries,
-        )
-        assert budget >= prepared.upper_plan.peak_intermediate_entries
-        assert budget >= prepared.lower_plan.peak_intermediate_entries
+        # replay of 2T rows runs in chunks of five rows and a shorter last
+        # chunk, and (T not a multiple of 5) one chunk straddles the upper
+        # and the conjugated lower rows.
+        budget = 5 * prepared.specialized.peak_row_entries
+        assert budget >= prepared.plan.peak_intermediate_entries
         unchunked = ApproximateNoisySimulator(level=2).fidelity(noisy)
         assert unchunked.num_terms % 5 != 0
         chunked = ApproximateNoisySimulator(level=2, max_intermediate_size=budget).fidelity(noisy)

@@ -80,15 +80,18 @@ class TestAccurateMethodsAgree:
         assert abs(result.value - f_dm) <= result.metadata["error_bound"] + 1e-9
 
 
-def _per_term_level_totals(noisy, max_level):
+def _per_term_level_totals(noisy, max_level, input_state=None, output_state=None):
     """Slow oracle of Algorithm 1: two fresh, greedily contracted networks per term.
 
     Returns the running total after each level, summed in the same order as
     :meth:`ApproximateNoisySimulator.fidelity` (per-level contributions, then
-    the total), so an unchanged arithmetic gives bit-identical values.
+    the total), so an unchanged arithmetic gives bit-identical values.  The
+    boundary states default to ``|0…0⟩``.
     """
     decompositions = ApproximateNoisySimulator().decompose_noises(noisy)
     zeros = "0" * noisy.num_qubits
+    input_state = zeros if input_state is None else input_state
+    output_state = zeros if output_state is None else output_state
     total = 0.0 + 0.0j
     totals = []
     for k in range(max_level + 1):
@@ -99,7 +102,9 @@ def _per_term_level_totals(noisy, max_level):
                 substitution = {i: d.terms[0] for i, d in enumerate(decompositions)}
                 for position, term_index in zip(positions, assignment):
                     substitution[position] = decompositions[position].terms[term_index]
-                upper, lower = substituted_split_networks(noisy, substitution, zeros, zeros)
+                upper, lower = substituted_split_networks(
+                    noisy, substitution, input_state, output_state
+                )
                 contribution += upper.contract_to_scalar() * lower.contract_to_scalar()
         total += contribution
         totals.append(float(np.real(total)))
@@ -116,6 +121,37 @@ class TestPlanReplayOracle:
             backend = get_backend("approximation").run(noisy, SimulationTask(level=level))
             assert direct == totals[level]
             assert backend.value == totals[level]
+
+    def test_complex_boundary_states_are_bit_identical(self):
+        # The "0…0" cases have real boundary tensors, so they cannot see a
+        # conjugation missing from the boundary of the conjugated lower rows.
+        noisy = _make_noisy("qaoa_4", 3, 0)
+        n = noisy.num_qubits
+        factors = [
+            np.array([np.cos(0.4 * q + 0.2), np.exp(0.7j * (q + 1)) * np.sin(0.4 * q + 0.2)])
+            for q in range(n)
+        ]
+        rng = np.random.default_rng(4)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        dense /= np.linalg.norm(dense)
+        totals = _per_term_level_totals(noisy, 2, factors, dense)
+        assert totals[1] != totals[2]
+        for level in (1, 2):
+            task = SimulationTask(level=level, input_state=factors, output_state=dense)
+            direct = ApproximateNoisySimulator(level=level).fidelity(noisy, factors, dense)
+            assert direct.value == totals[level]
+            assert get_backend("approximation").run(noisy, task).value == totals[level]
+
+    def test_noiseless_circuit_is_bit_identical(self):
+        # Without noises the plan has no variable input: its single replayed
+        # row serves as both the upper and the lower half.
+        ideal = benchmark_circuit("qft_3", seed=4)
+        factors = [np.array([0.6, 0.8j]), np.array([1.0, 0.0]), np.array([0.8, -0.6j])]
+        for input_state in (None, factors):
+            totals = _per_term_level_totals(ideal, 0, input_state)
+            result = ApproximateNoisySimulator(level=1).fidelity(ideal, input_state)
+            assert (result.num_noises, result.num_terms) == (0, 1)
+            assert result.value == totals[0]
 
 
 class TestApproximateMethodsAgree:
