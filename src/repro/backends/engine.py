@@ -11,9 +11,10 @@ two batched hot paths:
   every sample (only the sampled Kraus tensor *values* change), so the node /
   edge construction and the greedy contraction-ordering work are done once on
   a template, and all trajectories of a block are replayed together by one
-  batched :class:`repro.tensornetwork.plan.SpecializedPlan` call on stacks of
-  sampled Kraus tensors (state-independent Kraus sampling with importance
-  weights, as in the original implementation).
+  :meth:`repro.tensornetwork.circuit_to_tn.CircuitPlan.replay` call: each row
+  is a trajectory's sampled Kraus choices, gathered from the per-channel
+  Kraus stacks (state-independent Kraus sampling with importance weights,
+  as in the original implementation).
 
 Two RNG regimes are supported:
 
@@ -45,15 +46,16 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.parameters import is_parametric
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
+    CircuitPlan,
+    CircuitRecord,
     StateLike,
     dense_product_state,
     gate_tensor,
-    instruction_nodes,
     operator_amplitude_network,
 )
-from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
@@ -170,105 +172,70 @@ class _TrajectoryContext:
         self.num_qubits = circuit.num_qubits
         self.num_channels = circuit.noise_count()
         self._engine = engine
-        #: Instruction indices of the parametric gates: their values belong to
-        #: whichever binding prepared the context, and :meth:`bind` swaps in
-        #: another binding's.
-        self.gate_indices = [
-            index for index, inst in enumerate(circuit)
-            if getattr(inst.operation, "is_parametric_gate", False)
-        ]
         #: Per-namespace cache of device-resident operator tensors (see
         #: :meth:`device_tensors` and :meth:`kraus_stacks`); contexts are
         #: reusable across devices.
         self._device_cache = {}
         if engine.backend == "statevector":
+            self.record = CircuitRecord(circuit.structural_fingerprint(), input_state, output_state)
+            self.parametric = is_parametric(circuit)
             self.psi0 = dense_product_state(input_state, self.num_qubits)
             self.v = dense_product_state(output_state, self.num_qubits)
         else:
-            self._prepare_tn(engine, circuit, input_state, output_state)
-
-    # -- TN template -----------------------------------------------------
-    def _prepare_tn(
-        self,
-        engine: "BatchedTrajectoryEngine",
-        circuit: Circuit,
-        input_state: StateLike,
-        output_state: StateLike,
-    ) -> None:
-        """Plan the trajectory amplitude network and specialize it.
-
-        Noise positions are the batched inputs (one sampled Kraus tensor per
-        trajectory); parametric gate positions are bound inputs (one value
-        per binding).  The network itself is dropped once planned.
-        """
-        n = circuit.num_qubits
-        operations = [
-            (inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0], inst.qubits)
-            for inst in circuit
-        ]
-        template = operator_amplitude_network(
-            n,
-            operations,
-            input_state,
-            output_state,
-            name="trajectory_template",
-            max_intermediate_size=engine.max_intermediate_size,
-        )
-        layout = instruction_nodes(circuit, input_state)
-        self.noise_positions = [
-            (layout[index][0], inst) for index, inst in enumerate(circuit) if inst.is_noise
-        ]
-        self.gate_positions = [layout[index][0] for index in self.gate_indices]
-        # Partial evaluation over the static tensors: batched replays touch
-        # only the contractions downstream of a sampled Kraus tensor (values
-        # are bit-identical to a full replay; the static prefix is paid once).
-        self.specialized = ContractionPlan.for_network(template).specialize(
-            [node.tensor for node in template.nodes],
-            [position for position, _ in self.noise_positions],
-            self.gate_positions,
-        )
-        self._derive_kraus_distributions()
-
-    def _derive_kraus_distributions(self) -> None:
-        # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
-        # their cdfs (normalised exactly as np.random.Generator.choice does).
-        self.q_dists: List[np.ndarray] = []
-        self.q_cdfs: List[np.ndarray] = []
-        for _, inst in self.noise_positions:
-            weights = np.array(
-                [np.real(np.trace(op.conj().T @ op)) for op in inst.operation.kraus_operators]
+            # The trajectory amplitude network, planned with the sampled Kraus
+            # tensors as batched inputs and the parametric gates as bound
+            # ones; the network itself is dropped once planned.
+            operations = [
+                (inst.operation.matrix if inst.is_gate else inst.operation.kraus_operators[0], inst.qubits)
+                for inst in circuit
+            ]
+            template = operator_amplitude_network(
+                self.num_qubits,
+                operations,
+                input_state,
+                output_state,
+                name="trajectory_template",
+                max_intermediate_size=engine.max_intermediate_size,
             )
-            weights = weights / weights.sum()
-            cdf = weights.cumsum()
-            cdf = cdf / cdf[-1]
-            self.q_dists.append(weights)
-            self.q_cdfs.append(cdf)
+            self.circuit_plan = CircuitPlan(circuit, template, input_state, output_state)
+            # State-independent sampling distributions q_k = tr(E_k† E_k)/d and
+            # their cdfs (normalised exactly as np.random.Generator.choice does).
+            self.q_dists: List[np.ndarray] = []
+            self.q_cdfs: List[np.ndarray] = []
+            for inst in circuit.noise_instructions:
+                weights = np.array(
+                    [np.real(np.trace(op.conj().T @ op)) for op in inst.operation.kraus_operators]
+                )
+                weights = weights / weights.sum()
+                cdf = weights.cumsum()
+                cdf = cdf / cdf[-1]
+                self.q_dists.append(weights)
+                self.q_cdfs.append(cdf)
 
     # -- bind slot -------------------------------------------------------
-    def bind(self, circuit: Circuit) -> "_TrajectoryContext":
+    def bind(
+        self, circuit: Circuit, input_state: StateLike, output_state: StateLike
+    ) -> "_TrajectoryContext":
         """This context with the gate values of ``circuit``, a binding of its structure.
 
-        Everything value-independent is shared: the specialized contraction
-        plan, the Kraus sampling distributions (noise channels carry no
-        parameters) and the boundary states.  The TN path binds the gate
-        tensors into its plan, evaluating only the steps that depend on them;
-        the statevector path re-reads its gate tensors from ``circuit``.  A
-        context without parametric gates is returned as is; any other context
-        runs only once bound, also to the circuit it was prepared from.
+        ``circuit`` and the boundary states must be the ones the context was
+        prepared for (:class:`ValidationError` otherwise; any binding of the
+        prepared structure is).  Everything value-independent is shared: the
+        circuit plan, the Kraus sampling distributions (noise channels carry
+        no parameters) and the boundary states.  The TN path binds the gate
+        tensors into its circuit plan, evaluating only the steps that depend
+        on them; the statevector path re-reads its gate tensors from
+        ``circuit``.
         """
-        if not self.gate_indices:
-            return self
         bound = copy.copy(self)
-        bound.circuit = circuit
         if self._engine.backend == "tn":
-            bound.specialized = self.specialized.bind({
-                position: gate_tensor(circuit[index].operation.matrix)
-                for index, position in zip(self.gate_indices, self.gate_positions)
-            })
+            bound.circuit_plan = self.circuit_plan.bind(circuit, input_state, output_state)
         else:
-            # The statevector path caches gate tensors; the TN path's cache
-            # holds only the binding-independent Kraus stacks.
-            bound._device_cache = {}
+            self.record.check(circuit, input_state, output_state)
+            if self.parametric:
+                # The statevector path caches gate tensors; the TN path's
+                # cache holds only the binding-independent Kraus stacks.
+                bound.circuit, bound._device_cache = circuit, {}
         return bound
 
     # -- device residency (statevector path) -----------------------------
@@ -301,8 +268,8 @@ class _TrajectoryContext:
         cached = self._device_cache.get(key)
         if cached is None:
             cached = [
-                xp.asarray(np.stack([gate_tensor(op) for op in inst.operation.kraus_operators]))
-                for _, inst in self.noise_positions
+                xp.asarray(gate_tensor(np.stack(inst.operation.kraus_operators)))
+                for inst in self.circuit.noise_instructions
             ]
             self._device_cache[key] = cached
         return cached
@@ -342,13 +309,14 @@ class BatchedTrajectoryEngine:
         """Precompute the sample-independent state of a trajectory estimate.
 
         For the statevector engine this resolves the dense boundary states;
-        for the TN engine it plans the template amplitude network,
-        specializes the :class:`~repro.tensornetwork.plan.ContractionPlan`
-        and derives the state-independent Kraus sampling distributions.  The
-        returned context can be passed back to :meth:`estimate_fidelity`
+        for the TN engine it plans the template amplitude network as a
+        :class:`~repro.tensornetwork.circuit_to_tn.CircuitPlan` and derives
+        the state-independent Kraus sampling distributions.  The returned
+        context can be passed back to :meth:`estimate_fidelity`
         (``context=...``) any number of times, also with other bindings of a
         parametric circuit — values are identical to an uncontexted call, the
-        one-time work is just not repeated.
+        one-time work is just not repeated.  Another circuit structure or
+        other boundary states are refused.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
@@ -380,9 +348,9 @@ class BatchedTrajectoryEngine:
         once instead of per call.  ``context`` optionally supplies the
         prepared per-circuit state from :meth:`prepare` (it must have been
         prepared from the same engine configuration, circuit structure and
-        boundary states; a parametric circuit's gate values are read from
-        ``circuit``); the multi-process path ignores it, since each worker
-        process prepares its own.
+        boundary states, or :class:`ValidationError` is raised; a parametric
+        circuit's gate values are read from ``circuit``); the multi-process
+        path ignores it, since each worker process prepares its own.
 
         Example (noiseless GHZ, so the estimate is exact)::
 
@@ -417,7 +385,7 @@ class BatchedTrajectoryEngine:
         if not pooled:
             if context is None:
                 context = _TrajectoryContext(self, circuit, input_state, output_state)
-            context = context.bind(circuit)
+            context = context.bind(circuit, input_state, output_state)
 
         if noiseless:
             # Deterministic evolution: every trajectory yields the same value,
@@ -663,16 +631,11 @@ class BatchedTrajectoryEngine:
         return xp.reshape(chosen, (batch,) + (2,) * num_qubits)
 
     def _run_tn(self, context: _TrajectoryContext, uniforms: np.ndarray) -> np.ndarray:
-        num_samples = uniforms.shape[0]
-        if context.num_channels == 0:
-            # Only reached via the noiseless short-circuit in estimate_fidelity:
-            # the specialized plan holds the deterministic amplitude.
-            value = float(abs(complex(context.specialized.execute({}, xp=self._xp)[0])) ** 2)
-            return np.full(num_samples, value)
-
         # Draw all Kraus choices channel-by-channel (same uniforms as the
         # per-sample loop would consume) and accumulate importance weights in
-        # channel order, matching the loop's sequential division exactly.
+        # channel order, matching the loop's sequential division exactly.  A
+        # noiseless circuit (one row of no uniforms) replays its one value.
+        num_samples = uniforms.shape[0]
         choices = np.empty((num_samples, context.num_channels), dtype=int)
         weights = np.ones(num_samples)
         for channel, cdf in enumerate(context.q_cdfs):
@@ -680,17 +643,13 @@ class BatchedTrajectoryEngine:
             np.clip(choices[:, channel], 0, len(cdf) - 1, out=choices[:, channel])
             weights /= context.q_dists[channel][choices[:, channel]]
 
-        # One batched replay: each noise position gets the stack of its
-        # sampled Kraus tensors, gathered on the device from the cached
-        # per-channel stacks by the host-side choice indices.
-        stacks = {
-            position: kraus[choices[:, channel]]
-            for channel, ((position, _), kraus) in enumerate(
-                zip(context.noise_positions, context.kraus_stacks(self._xp))
-            )
-        }
-        amplitudes = context.specialized.execute(
-            stacks, xp=self._xp, max_intermediate_size=self.max_intermediate_size
+        # One batched replay: each noise node gets its sampled Kraus tensors,
+        # gathered on the device from the cached per-channel stacks.
+        amplitudes = context.circuit_plan.replay(
+            choices,
+            context.kraus_stacks(self._xp),
+            xp=self._xp,
+            max_intermediate_size=self.max_intermediate_size,
         )
         return np.array([
             abs(amplitude) ** 2 * weight
@@ -717,7 +676,9 @@ def _pool_worker(payload) -> List[np.ndarray]:
         max_batch_entries=max_batch_entries,
         device=device,
     )
-    context = _TrajectoryContext(engine, circuit, input_state, output_state).bind(circuit)
+    context = _TrajectoryContext(engine, circuit, input_state, output_state).bind(
+        circuit, input_state, output_state
+    )
     return [
         engine._run_block(context, seed, block_index, block_samples)
         for block_index, block_samples in group

@@ -41,13 +41,12 @@ from repro.core.error_bounds import contraction_count, theorem1_error_bound
 from repro.core.svd_decomposition import NoiseTermDecomposition, decompose_noise
 from repro.simulators.statevector import apply_matrix
 from repro.tensornetwork.circuit_to_tn import (
+    CircuitPlan,
     StateLike,
     dense_product_state,
-    instruction_nodes,
-    resolve_product_state,
+    gate_tensor,
     substituted_split_networks,
 )
-from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -65,70 +64,31 @@ class PreparedApproximation:
     Every substituted term of the algorithm produces the *same* upper network
     topology (only the inserted ``U_i`` tensor values change), and the lower
     network is that network's complex conjugate with ``conj(V_i)`` inserted.
-    So the noise decompositions, the upper template network and its recorded
-    contraction schedule can be computed once — by
-    :meth:`ApproximateNoisySimulator.prepare` — and replayed for a whole batch
-    of both halves' terms with the noise tensors swapped in.  The plan is
-    level-independent: one prepared object serves ``fidelity(..., level=l)``
-    for every ``l``, but only for the circuit and boundary states it was
-    prepared from (:meth:`check_matches`).
+    So the noise decompositions and the upper network's
+    :class:`~repro.tensornetwork.circuit_to_tn.CircuitPlan` can be computed
+    once — by :meth:`ApproximateNoisySimulator.prepare` — and replayed for a
+    whole batch of both halves' terms with the noise tensors swapped in.  The
+    plan is level-independent: one prepared object serves
+    ``fidelity(..., level=l)`` for every ``l``, and every binding of the
+    prepared circuit's parameters, but only that circuit structure and those
+    boundary states (:meth:`CircuitPlan.bind` checks).
     """
 
     decompositions: Tuple[NoiseTermDecomposition, ...]
-    plan: ContractionPlan
-    #: Partially evaluated plan: contractions not downstream of any noise
-    #: tensor are baked in, so each batch replays only the residual steps.
-    specialized: SpecializedPlan
-    #: Node positions of the noise operations in the template network.
-    noise_positions: Tuple[int, ...]
+    #: The upper network's plan: noise nodes batched, parametric gates bound.
+    circuit_plan: CircuitPlan
     #: Per noise, its ``K`` terms' ``U_i`` and then their ``conj(V_i)``
     #: stacked along a leading axis (``2K`` entries), shaped like the noise's
     #: template node.
     terms: Tuple[np.ndarray, ...]
-    #: :meth:`Circuit.fingerprint` of the prepared circuit.
-    fingerprint: str
-    input_state: StateLike
-    output_state: StateLike
-
-    def check_matches(
-        self, circuit: Circuit, input_state: StateLike, output_state: StateLike
-    ) -> None:
-        """Raise :class:`ValidationError` unless this was prepared for these inputs."""
-        fingerprint = circuit.fingerprint()
-        if fingerprint != self.fingerprint:
-            raise ValidationError(
-                "prepared plan was recorded for a different circuit "
-                f"(fingerprint {self.fingerprint[:12]}…, got {fingerprint[:12]}…)"
-            )
-        n = circuit.num_qubits
-        for name, prepared, given in (
-            ("input", self.input_state, input_state),
-            ("output", self.output_state, output_state),
-        ):
-            if not _same_state(prepared, given, n):
-                raise ValidationError(
-                    f"prepared plan was recorded for a different {name} state"
-                )
 
     def describe(self) -> dict:
         """Plan-cost summary (what :meth:`repro.api.Executable.describe` reports)."""
         return {
             "num_noises": len(self.decompositions),
-            **self.plan.describe(),
-            "residual_steps": self.specialized.num_residual_steps,
+            **self.circuit_plan.plan.describe(),
+            "residual_steps": self.circuit_plan.specialized.num_residual_steps,
         }
-
-
-def _same_state(a: StateLike, b: StateLike, num_qubits: int) -> bool:
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    resolved_a = resolve_product_state(a, num_qubits)
-    resolved_b = resolve_product_state(b, num_qubits)
-    if isinstance(resolved_a, list) != isinstance(resolved_b, list):
-        return False
-    if isinstance(resolved_a, list):
-        return all(np.array_equal(x, y) for x, y in zip(resolved_a, resolved_b))
-    return np.array_equal(resolved_a, resolved_b)
 
 
 def term_indices(
@@ -189,17 +149,12 @@ class ApproximationResult:
         )
 
 
-def _stacked_terms(
-    decompositions: Sequence[NoiseTermDecomposition],
-    noise_positions: Sequence[int],
-    template_tensors: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, ...]:
-    """Per noise, its terms' ``U_i`` then their ``conj(V_i)``, stacked."""
+def _stacked_terms(decompositions: Sequence[NoiseTermDecomposition]) -> Tuple[np.ndarray, ...]:
+    """Per noise, its terms' ``U_i`` then their ``conj(V_i)``, stacked as node tensors."""
     stacks = []
-    for decomposition, position in zip(decompositions, noise_positions):
+    for decomposition in decompositions:
         pairs = np.asarray(decomposition.terms, dtype=complex)
-        shape = (-1, *template_tensors[position].shape)
-        stacks.append(np.concatenate([pairs[:, 0], pairs[:, 1].conj()]).reshape(shape))
+        stacks.append(gate_tensor(np.concatenate([pairs[:, 0], pairs[:, 1].conj()])))
     return tuple(stacks)
 
 
@@ -274,13 +229,15 @@ class ApproximateNoisySimulator:
     ) -> PreparedApproximation:
         """Precompute the term-independent work of Algorithm 1 for ``circuit``.
 
-        SVD-decomposes every noise channel and records the contraction
-        schedule of the dominant-term upper network; every substituted term's
-        two halves share its topology (:func:`substituted_split_networks`), so
-        :meth:`fidelity` replays it once for a batch of all terms' noise
-        tensors instead of building and greedy-ordering two fresh networks
-        per term.  Values are bit-identical to contracting each term's own
-        networks (the greedy heuristic decides from tensor *shapes* only).
+        SVD-decomposes every noise channel and plans the dominant-term upper
+        network as a :class:`~repro.tensornetwork.circuit_to_tn.CircuitPlan`
+        (noise nodes batched, parametric gates bound); every substituted
+        term's two halves share its topology
+        (:func:`substituted_split_networks`), so :meth:`fidelity` replays it
+        once for a batch of all terms' noise tensors instead of building and
+        greedy-ordering two fresh networks per term.  Values are
+        bit-identical to contracting each term's own networks (the greedy
+        heuristic decides from tensor *shapes* only).
         """
         if self.backend != "tn":
             raise ValidationError(
@@ -302,21 +259,12 @@ class ApproximateNoisySimulator:
             output_state,
             max_intermediate_size=self.max_intermediate_size,
         )
-        tensors = [node.tensor for node in upper.nodes]
-        plan = ContractionPlan.for_network(upper, strategy=self.strategy)
-        layout = instruction_nodes(circuit, input_state)
-        noise_positions = tuple(
-            layout[index][0] for index, inst in enumerate(circuit) if inst.is_noise
-        )
         return PreparedApproximation(
             decompositions=tuple(decompositions),
-            plan=plan,
-            specialized=plan.specialize(tensors, noise_positions),
-            noise_positions=noise_positions,
-            terms=_stacked_terms(decompositions, noise_positions, tensors),
-            fingerprint=circuit.fingerprint(),
-            input_state=input_state,
-            output_state=output_state,
+            circuit_plan=CircuitPlan(
+                circuit, upper, input_state, output_state, strategy=self.strategy
+            ),
+            terms=_stacked_terms(decompositions),
         )
 
     def _term_evaluator(
@@ -332,15 +280,13 @@ class ApproximateNoisySimulator:
         :func:`term_indices`) to the ``T`` term values ``upper × lower`` and
         the number of batched plan replays it made.  With the ``"tn"`` term
         backend the rows replay the plan of ``prepared`` — which must have
-        been prepared for this circuit and these boundary states, and is
-        recorded here when not given — in one batched call: ``T`` rows of
-        ``U_i`` give the upper halves, ``T`` rows of ``conj(V_i)`` the
-        conjugated lower ones.  The ``"statevector"`` backend applies each
-        term's matrices densely.
+        been prepared for this circuit's structure and these boundary states,
+        and is prepared here when not given — bound to this circuit's gates,
+        in one batched call: ``T`` rows of ``U_i`` give the upper halves,
+        ``T`` rows of ``conj(V_i)`` the conjugated lower ones.  The
+        ``"statevector"`` backend applies each term's matrices densely.
         """
-        if prepared is not None:
-            prepared.check_matches(circuit, input_state, output_state)
-        elif self.backend == "tn":
+        if prepared is None and self.backend == "tn":
             prepared = self.prepare(circuit, input_state, output_state)
         if prepared is None:
             decompositions = self.decompose_noises(circuit)
@@ -359,16 +305,14 @@ class ApproximateNoisySimulator:
 
             return decompositions, evaluate_dense
 
+        circuit_plan = prepared.circuit_plan.bind(circuit, input_state, output_state)
         # A noise's conj(V_i) sits K entries after its U_i in its stack.
         lower_offsets = np.array([d.num_terms for d in prepared.decompositions], dtype=np.intp)
 
         def evaluate(rows: np.ndarray) -> Tuple[List[complex], int]:
-            both = np.concatenate([rows, rows + lower_offsets])
-            values = prepared.specialized.execute(
-                {
-                    position: prepared.terms[noise_index][both[:, noise_index]]
-                    for noise_index, position in enumerate(prepared.noise_positions)
-                },
+            values = circuit_plan.replay(
+                np.concatenate([rows, rows + lower_offsets]),
+                prepared.terms,
                 max_intermediate_size=self.max_intermediate_size,
             ).tolist()
             # Without noises the plan has no variable input and returns its
@@ -393,8 +337,8 @@ class ApproximateNoisySimulator:
         n = circuit.num_qubits
         if n > 20:
             raise MemoryError("statevector backend limited to 20 qubits")
-        psi = self._densify(input_state, n)
-        v = self._densify(output_state, n)
+        psi = dense_product_state(input_state, n)
+        v = dense_product_state(output_state, n)
         upper = psi.copy()
         lower = psi.conj().copy()
         noise_index = 0
@@ -410,10 +354,6 @@ class ApproximateNoisySimulator:
         upper_value = complex(np.vdot(v, upper))
         lower_value = complex(np.vdot(v.conj(), lower))
         return upper_value * lower_value
-
-    @staticmethod
-    def _densify(state: StateLike, num_qubits: int) -> np.ndarray:
-        return dense_product_state(state, num_qubits)
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -433,9 +373,10 @@ class ApproximateNoisySimulator:
         term indices (:func:`term_indices`); with the ``"tn"`` term backend
         both halves of all of them are evaluated by one batched replay of the
         plan recorded by :meth:`prepare`.  ``prepared`` supplies that plan
-        when already recorded; it must come from the same circuit and
-        boundary states (:class:`ValidationError` otherwise).  Without it
-        this call records it.
+        when already recorded; it must come from the same circuit structure
+        (any binding of its parameters) and boundary states
+        (:class:`ValidationError` otherwise).  Without it this call records
+        it.
         """
         start = time.perf_counter()
         level = self.level if level is None else int(level)

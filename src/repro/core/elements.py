@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.tensornetwork.circuit_to_tn import StateLike, resolve_product_state
+from repro.tensornetwork.circuit_to_tn import StateLike, dense_product_state
 from repro.utils.validation import ValidationError, check_statevector
 
 __all__ = ["FidelityEstimator", "estimate_matrix_element", "estimate_density_matrix"]
@@ -42,16 +42,6 @@ def _as_float(value) -> float:
     return float(value)
 
 
-def _densify(state: StateLike, num_qubits: int) -> np.ndarray:
-    resolved = resolve_product_state(state, num_qubits)
-    if isinstance(resolved, list):
-        dense = np.array([1.0 + 0.0j])
-        for factor in resolved:
-            dense = np.kron(dense, factor)
-        return dense
-    return resolved
-
-
 def estimate_matrix_element(
     estimator: FidelityEstimator,
     circuit: Circuit,
@@ -62,8 +52,8 @@ def estimate_matrix_element(
     """Estimate ``⟨x| E_N(|ψ⟩⟨ψ|) |y⟩`` with four fidelity evaluations."""
     n = circuit.num_qubits
     input_state = "0" * n if input_state is None else input_state
-    x = check_statevector(_densify(bra_state, n), name="bra_state")
-    y = check_statevector(_densify(ket_state, n), name="ket_state")
+    x = check_statevector(dense_product_state(bra_state, n), name="bra_state")
+    y = check_statevector(dense_product_state(ket_state, n), name="ket_state")
     if x.size != 2**n or y.size != 2**n:
         raise ValidationError("bra/ket dimensions do not match the circuit")
 

@@ -13,8 +13,9 @@ paths are added.
 The variant reuses the split-network evaluation of
 :class:`~repro.core.approximation.ApproximateNoisySimulator`; each path is
 again a product of two independent single-size contractions, and a path is a
-row of term indices, so (with the ``"tn"`` term backend) all selected paths
-are evaluated by two batched replays of the plans recorded once per call.  The
+row of term indices, so (with the ``"tn"`` term backend) both halves of all
+selected paths are evaluated by one batched replay of the plan recorded once
+per call.  The
 level-``l`` approximation corresponds to the set of paths with at most ``l``
 non-dominant indices, so the two truncation schemes coincide when the
 singular-value gaps are uniform, and differ when some noises are much stronger

@@ -18,18 +18,14 @@ and the partial evaluation of a plan stay on the host.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.circuits.circuit import Circuit
 from repro.tensornetwork.circuit_to_tn import (
+    CircuitPlan,
     StateLike,
     circuit_amplitude_network,
-    gate_tensor,
-    instruction_nodes,
     noisy_doubled_network,
     noisy_observable_network,
 )
-from repro.tensornetwork.plan import ContractionPlan, SpecializedPlan
 from repro.xp import declare_seam, get_namespace
 from repro.xp import host as np
 
@@ -42,47 +38,35 @@ class PreparedFidelity:
     """A planned fidelity contraction, evaluated without re-planning.
 
     Produced by :meth:`TNSimulator.prepare`: the network construction and the
-    contraction-ordering search are paid once, and the plan is specialized
-    over every tensor that cannot change (see
-    :meth:`repro.tensornetwork.plan.ContractionPlan.specialize`).  For a
-    circuit without parametric gates that evaluates the whole contraction at
-    prepare time, so :meth:`execute` only returns the value.
+    contraction-ordering search are paid once, in a
+    :class:`~repro.tensornetwork.circuit_to_tn.CircuitPlan` that evaluates
+    every tensor that cannot change.  For a circuit without parametric gates
+    that is the whole contraction, so :meth:`execute` only returns the value.
 
-    The positions of parametric gates are *bound* inputs of the specialized
-    plan: the schedule depends only on tensor shapes (the planner inspects
-    sizes, never entries), so one prepared plan serves every binding of the
+    The parametric gates are the plan's *bound* inputs: the schedule depends
+    only on tensor shapes, so one prepared plan serves every binding of the
     structure.  :meth:`execute` reads those gates' tensors from the circuit
     being run and replays only the steps that depend on them — no network
     build, no ordering search.
     """
 
-    __slots__ = ("plan", "specialized", "noiseless", "_gates", "_xp")
+    __slots__ = ("circuit_plan", "noiseless", "_xp")
 
-    def __init__(
-        self,
-        plan: ContractionPlan,
-        specialized: SpecializedPlan,
-        noiseless: bool,
-        gates: List[Tuple[int, int, bool]],
-        xp=None,
-    ) -> None:
-        self.plan = plan
-        self.specialized = specialized
+    def __init__(self, circuit_plan: CircuitPlan, noiseless: bool, xp=None) -> None:
+        self.circuit_plan = circuit_plan
         self.noiseless = noiseless
-        #: ``(instruction index, node position, conjugated)`` per parametric
-        #: gate node of the network.
-        self._gates = gates
         #: Replay namespace (None = host numpy).
         self._xp = xp
 
-    def execute(self, circuit: Circuit) -> float:
-        """Return the fidelity of ``circuit``, a binding of the prepared structure."""
-        matrices = {index: circuit[index].operation.matrix for index, _, _ in self._gates}
-        plan = self.specialized.bind({
-            position: gate_tensor(matrices[index].conj() if conjugated else matrices[index])
-            for index, position, conjugated in self._gates
-        })
-        value = complex(plan.execute({}, xp=self._xp)[0])
+    def execute(self, circuit: Circuit, input_state: StateLike, output_state: StateLike) -> float:
+        """Return the fidelity of ``circuit``, a binding of the prepared structure.
+
+        ``circuit`` and the boundary states must be the prepared ones
+        (:class:`~repro.utils.validation.ValidationError` otherwise).
+        """
+        bound = self.circuit_plan.bind(circuit, input_state, output_state)
+        # No batched input: the plan's one row is the value.
+        value = complex(bound.replay(np.empty((1, 0), dtype=int), (), xp=self._xp)[0])
         if self.noiseless:
             return float(abs(value) ** 2)
         return float(np.real(value))
@@ -91,8 +75,8 @@ class PreparedFidelity:
         """Plan-cost summary (node count, steps, peak intermediate size)."""
         return {
             "noiseless": self.noiseless,
-            "parametric": bool(self._gates),
-            **self.plan.describe(),
+            "parametric": bool(self.circuit_plan.gate_positions),
+            **self.circuit_plan.plan.describe(),
         }
 
 
@@ -141,7 +125,9 @@ class TNSimulator:
         ``input_state`` and ``output_state`` default to ``|0…0⟩``.  Both may
         be bitstrings, per-qubit product factors or dense vectors.
         """
-        return self.prepare(circuit, input_state, output_state).execute(circuit)
+        prepared = self.prepare(circuit, input_state, output_state)
+        _, input_state, output_state = prepared.circuit_plan.record  # defaults resolved
+        return prepared.execute(circuit, input_state, output_state)
 
     def prepare(
         self,
@@ -151,11 +137,11 @@ class TNSimulator:
     ) -> PreparedFidelity:
         """Plan this fidelity evaluation once, for every binding of ``circuit``.
 
-        Builds the same network :meth:`fidelity` would, plans its contraction
-        and specializes the plan over every tensor but the parametric gates'
-        (see :class:`repro.tensornetwork.plan.ContractionPlan`), so repeated
-        evaluations of the same circuit/boundary configuration skip the
-        network construction and ordering search entirely.
+        Builds the same network :meth:`fidelity` would and plans it as a
+        :class:`~repro.tensornetwork.circuit_to_tn.CircuitPlan` (every tensor
+        but the parametric gates' is evaluated once), so repeated evaluations
+        of the same circuit/boundary configuration skip the network
+        construction and ordering search entirely.
         """
         n = circuit.num_qubits
         input_state = "0" * n if input_state is None else input_state
@@ -165,19 +151,11 @@ class TNSimulator:
         network = build(
             circuit, input_state, output_state, max_intermediate_size=self.max_intermediate_size
         )
-        plan = ContractionPlan.for_network(network, strategy=self.strategy)
-        # The doubled diagram's second node of a gate is its U*.
-        layout = instruction_nodes(circuit, input_state, doubled=not noiseless)
-        gates = [
-            (index, position, conjugated)
-            for index, inst in enumerate(circuit)
-            if getattr(inst.operation, "is_parametric_gate", False)
-            for position, conjugated in zip(layout[index], (False, True))
-        ]
-        specialized = plan.specialize(
-            [node.tensor for node in network.nodes], [], [position for _, position, _ in gates]
+        circuit_plan = CircuitPlan(
+            circuit, network, input_state, output_state,
+            doubled=not noiseless, strategy=self.strategy,
         )
-        return PreparedFidelity(plan, specialized, noiseless, gates, xp=self._xp)
+        return PreparedFidelity(circuit_plan, noiseless, xp=self._xp)
 
     def expectation(
         self,

@@ -14,6 +14,10 @@ Three diagrams are needed by the library:
    network falls apart into two independent ``n``-rail networks which are
    contracted separately and multiplied.
 
+:class:`CircuitPlan` plans one of them once and replays it for every binding
+of the circuit's parameters and every batch of noise operators: exact TN, TN
+trajectories and Algorithm 1 all run on it.
+
 States are given either as bitstrings (``"0100"``), per-qubit vectors, or a
 dense statevector.  Product-state forms keep every boundary tensor rank-1 so
 the contraction stays cheap.
@@ -21,16 +25,18 @@ the contraction stays cheap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+import copy
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.circuits.circuit import Circuit
 from repro.tensornetwork.network import TensorNetwork
+from repro.tensornetwork.plan import ContractionPlan
 from repro.utils.validation import ValidationError
 
 from repro.xp import declare_seam
 from repro.xp import host as np
 
-declare_seam(__name__, mode="host")
+declare_seam(__name__, mode="dispatch")
 
 __all__ = [
     "StateLike",
@@ -38,6 +44,8 @@ __all__ = [
     "dense_product_state",
     "gate_tensor",
     "instruction_nodes",
+    "CircuitRecord",
+    "CircuitPlan",
     "operator_amplitude_network",
     "circuit_amplitude_network",
     "noisy_doubled_network",
@@ -94,9 +102,13 @@ def dense_product_state(state: StateLike, num_qubits: int) -> np.ndarray:
 
 
 def gate_tensor(matrix: np.ndarray) -> np.ndarray:
-    """The node tensor of a ``2**k × 2**k`` operator: one axis per qubit, outputs first."""
+    """The node tensor of a ``2**k × 2**k`` operator: one axis per qubit, outputs first.
+
+    Leading axes of a stack of operators are kept.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    return matrix.reshape([2] * (2 * (matrix.shape[0].bit_length() - 1)))
+    qubits = matrix.shape[-1].bit_length() - 1
+    return matrix.reshape(matrix.shape[:-2] + (2,) * (2 * qubits))
 
 
 def instruction_nodes(
@@ -128,6 +140,149 @@ def instruction_nodes(
         layout.append(tuple(range(position, position + width)))
         position += width
     return layout
+
+
+def _same_state(a: StateLike, b: StateLike, num_qubits: int) -> bool:
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    a, b = resolve_product_state(a, num_qubits), resolve_product_state(b, num_qubits)
+    if isinstance(a, list) != isinstance(b, list):
+        return False
+    return all(map(np.array_equal, a, b)) if isinstance(a, list) else np.array_equal(a, b)
+
+
+class CircuitRecord(NamedTuple):
+    """What a prepared plan serves: a circuit structure and its boundary states.
+
+    ``fingerprint`` is :meth:`Circuit.structural_fingerprint`, which every
+    binding of a parametric circuit shares.
+    """
+
+    fingerprint: str
+    input_state: StateLike
+    output_state: StateLike
+
+    def check(self, circuit: Circuit, input_state: StateLike, output_state: StateLike) -> None:
+        """Raise :class:`ValidationError` unless these are the recorded inputs.
+
+        A bitstring state matches its product factors; a dense vector matches
+        only an equal dense vector.
+        """
+        fingerprint = circuit.structural_fingerprint()
+        if fingerprint != self.fingerprint:
+            raise ValidationError(
+                "prepared plan was recorded for a different circuit "
+                f"(fingerprint {self.fingerprint[:12]}…, got {fingerprint[:12]}…)"
+            )
+        for name, recorded, given in (
+            ("input", self.input_state, input_state),
+            ("output", self.output_state, output_state),
+        ):
+            if not _same_state(recorded, given, circuit.num_qubits):
+                raise ValidationError(f"prepared plan was recorded for a different {name} state")
+
+
+class CircuitPlan:
+    """A circuit's network, planned once: noise nodes batched, parametric gates bound.
+
+    Built from a circuit, a network the builders here made of it (single-size,
+    or the doubled diagram with ``doubled=True``) and its boundary states.
+    The plan is specialized (:meth:`ContractionPlan.specialize`) over every
+    input but the noise nodes of a single-size network, which :meth:`replay`
+    fills per row (a sampled Kraus operator, an SVD factor of an Algorithm-1
+    term; the doubled diagram's ``M_E`` stays static), and the
+    parametric-gate nodes (``U``, and ``U*`` when doubled), which
+    :meth:`bind` reads from the circuit being run after checking it against
+    the plan's :class:`CircuitRecord`.
+
+    >>> from repro.circuits import Circuit
+    >>> from repro.circuits.parameters import Parameter, substitute
+    >>> from repro.noise import depolarizing_channel
+    >>> circuit = Circuit(2).rx(Parameter("theta"), 0).cx(0, 1)
+    >>> circuit = substitute(circuit.append(depolarizing_channel(0.01), 1), {"theta": 0.3})
+    >>> upper, _ = substituted_split_networks(circuit, {0: (np.eye(2), np.eye(2))}, "00", "00")
+    >>> single = CircuitPlan(circuit, upper, "00", "00")
+    >>> single.noise_positions, single.gate_positions
+    ((4,), (2,))
+    >>> doubled = noisy_doubled_network(circuit, "00", "00")
+    >>> CircuitPlan(circuit, doubled, "00", "00", doubled=True).gate_positions
+    (4, 5)
+    >>> bound = single.bind(circuit, "00", "00")
+    >>> amplitudes = bound.replay(np.zeros((1, 1), int), [np.eye(2)[None]])
+    >>> [round(amplitude.real, 6) for amplitude in amplitudes.tolist()]  # cos(θ/2)
+    [0.988771]
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        network: TensorNetwork,
+        input_state: StateLike,
+        output_state: StateLike,
+        doubled: bool = False,
+        strategy: str = "greedy",
+    ) -> None:
+        self.plan = ContractionPlan.for_network(network, strategy=strategy)
+        layout = instruction_nodes(circuit, input_state, doubled=doubled)
+        #: Node positions of the batched noise inputs, in circuit order.
+        self.noise_positions: Tuple[int, ...] = () if doubled else tuple(
+            layout[index][0] for index, inst in enumerate(circuit) if inst.is_noise
+        )
+        #: ``(instruction index, node position, conjugated)`` per parametric-gate node.
+        self._gates = tuple(
+            (index, position, conjugated)
+            for index, inst in enumerate(circuit)
+            if getattr(inst.operation, "is_parametric_gate", False)
+            for position, conjugated in zip(layout[index], (False, True))
+        )
+        #: Node positions of the bound parametric-gate inputs.
+        self.gate_positions = tuple(position for _, position, _ in self._gates)
+        self.specialized = self.plan.specialize(
+            [node.tensor for node in network.nodes], self.noise_positions, self.gate_positions
+        )
+        self.record = CircuitRecord(circuit.structural_fingerprint(), input_state, output_state)
+
+    def bind(
+        self, circuit: Circuit, input_state: StateLike, output_state: StateLike
+    ) -> "CircuitPlan":
+        """This plan with ``circuit``'s parametric-gate tensors bound in.
+
+        Raises :class:`ValidationError` unless ``circuit`` (any binding of the
+        recorded structure) and the states match the record.  Only the steps
+        the gates feed are evaluated.
+        """
+        self.record.check(circuit, input_state, output_state)
+        matrices = {index: circuit[index].operation.matrix for index, _, _ in self._gates}
+        bound = copy.copy(self)
+        bound.specialized = self.specialized.bind({
+            position: gate_tensor(matrices[index].conj() if conjugated else matrices[index])
+            for index, position, conjugated in self._gates
+        })
+        return bound
+
+    def replay(
+        self,
+        rows: np.ndarray,
+        stacks: Sequence,
+        xp=None,
+        max_intermediate_size: int | None = None,
+    ) -> np.ndarray:
+        """One amplitude per row of ``rows``, a ``(T, N)`` array of per-noise indices.
+
+        ``stacks[i]`` stacks the operators noise ``i``'s node may take, shaped
+        like the node (on ``xp``'s device when given); row ``r`` puts
+        ``stacks[i][rows[r, i]]`` there and is bit-identical to a full replay
+        (:meth:`SpecializedPlan.execute`).  Without noise inputs the plan's
+        one value is one row.
+        """
+        return self.specialized.execute(
+            {
+                position: stack[rows[:, noise]]
+                for noise, (position, stack) in enumerate(zip(self.noise_positions, stacks))
+            },
+            xp=xp,
+            max_intermediate_size=max_intermediate_size,
+        )
 
 
 def _add_boundary(

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import apply_noise
 from repro.circuits.library import ghz_circuit, hf_circuit, qaoa_circuit, random_circuit
+from repro.circuits.parameters import circuit_parameters, substitute
 from repro.core import ApproximateNoisySimulator, contraction_count, theorem1_error_bound
 from repro.noise import (
     NoiseModel,
@@ -191,6 +193,22 @@ class TestPreparedApproximation:
         replayed = simulator.fidelity(noisy, input_state=factors, prepared=prepared)
         assert replayed.value == fresh.value
 
+    def test_prepared_from_one_binding_replays_another(self):
+        parametric = apply_noise(
+            qaoa_circuit(4, seed=7, native_gates=False, parametric=True),
+            {"channel": "depolarizing", "parameter": 0.01, "count": 3, "seed": 2},
+        )
+        names = sorted(circuit_parameters(parametric))
+        first = substitute(parametric, {name: 0.3 for name in names})
+        second = substitute(parametric, {name: 1.1 for name in names})
+        simulator = ApproximateNoisySimulator(level=2)
+        prepared = simulator.prepare(first)
+        replayed = simulator.fidelity(second, prepared=prepared)
+        fresh = simulator.fidelity(second, prepared=simulator.prepare(second))
+        assert replayed.value == fresh.value
+        assert replayed.level_contributions == fresh.level_contributions
+        assert replayed.value != simulator.fidelity(first, prepared=prepared).value
+
     def test_replay_calls(self):
         noisy = _noisy(noises=8, p=0.01)
         result = ApproximateNoisySimulator(level=1).fidelity(noisy)
@@ -205,8 +223,8 @@ class TestPreparedApproximation:
         info = prepared.describe()
         assert info == {
             "num_noises": 3,
-            **prepared.plan.describe(),
-            "residual_steps": prepared.specialized.num_residual_steps,
+            **prepared.circuit_plan.plan.describe(),
+            "residual_steps": prepared.circuit_plan.specialized.num_residual_steps,
         }
         assert 0 < info["residual_steps"] <= info["num_steps"]
         # Per noise, its K upper terms and then its K conjugated lower terms.

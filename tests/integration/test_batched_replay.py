@@ -6,7 +6,8 @@ is the sequential definition: per term, the two substituted networks are
 built afresh and each is contracted by a full :meth:`ContractionPlan.execute`
 replay of the recorded schedule over its own tensors — the lower half from
 the lower network, not through the conjugate identity — and the products are
-summed per level and then into the total.  Values must agree with ``==``.
+summed per level and then into the total.  Values must agree with ``==``,
+also when the circuit's parametric gates are bound inputs of the replay.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import pytest
 from repro.api import apply_noise
 from repro.backends import SimulationTask, get_backend
 from repro.circuits.library import benchmark_circuit
+from repro.circuits.parameters import circuit_parameters, substitute
 from repro.core import ApproximateNoisySimulator
 from repro.noise import NoiseModel, depolarizing_channel
 from repro.tensornetwork.circuit_to_tn import substituted_split_networks
@@ -38,9 +40,10 @@ def _per_term_values(noisy, level):
                 for position, term_index in zip(positions, assignment):
                     substitution[position] = decompositions[position].terms[term_index]
                 upper, lower = substituted_split_networks(noisy, substitution, zeros, zeros)
-                contribution += prepared.plan.execute(
+                plan = prepared.circuit_plan.plan
+                contribution += plan.execute(
                     [node.tensor for node in upper.nodes]
-                ) * prepared.plan.execute([node.tensor for node in lower.nodes])
+                ) * plan.execute([node.tensor for node in lower.nodes])
         contributions.append(float(np.real(contribution)))
         total += contribution
     return tuple(contributions), float(np.real(total))
@@ -69,6 +72,25 @@ class TestBatchedTermReplay:
         backend = get_backend("approximation").run(noisy, SimulationTask(level=level))
         assert backend.value == total
 
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_bound_parametric_circuit(self, level):
+        # The parametric gates are bound inputs of the replay (bound once per
+        # run), while the oracle's fresh networks carry them as plain tensors.
+        ideal = benchmark_circuit("qaoa_4", seed=3, native_gates=False, parametric=True)
+        binding = {
+            name: 0.3 + 0.17 * index
+            for index, name in enumerate(sorted(circuit_parameters(ideal)))
+        }
+        noisy = apply_noise(
+            substitute(ideal, binding),
+            {"channel": "depolarizing", "parameter": 0.01, "count": 4, "seed": 5},
+        )
+        assert ApproximateNoisySimulator().prepare(noisy).circuit_plan.gate_positions
+        result = ApproximateNoisySimulator(level=level).fidelity(noisy)
+        contributions, total = _per_term_values(noisy, level)
+        assert result.level_contributions == contributions
+        assert result.value == total
+
     def test_level3_on_qaoa_4(self):
         ideal = benchmark_circuit("qaoa_4", seed=0)
         noisy = NoiseModel(depolarizing_channel(0.01), seed=0).insert_random(ideal, 5)
@@ -85,8 +107,8 @@ class TestBatchedTermReplay:
         # replay of 2T rows runs in chunks of five rows and a shorter last
         # chunk, and (T not a multiple of 5) one chunk straddles the upper
         # and the conjugated lower rows.
-        budget = 5 * prepared.specialized.peak_row_entries
-        assert budget >= prepared.plan.peak_intermediate_entries
+        budget = 5 * prepared.circuit_plan.specialized.peak_row_entries
+        assert budget >= prepared.circuit_plan.plan.peak_intermediate_entries
         unchunked = ApproximateNoisySimulator(level=2).fidelity(noisy)
         assert unchunked.num_terms % 5 != 0
         chunked = ApproximateNoisySimulator(level=2, max_intermediate_size=budget).fidelity(noisy)
